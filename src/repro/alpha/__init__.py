@@ -1,6 +1,8 @@
-"""alpha-radius word neighborhoods (Section 5): per-place bounded BFS
-vocabularies, bottom-up R-tree node aggregation, and the inverted file that
-serves the Lemma 2-5 bounds at query time."""
+"""alpha-radius word neighborhoods (Section 5): their definition as
+per-place bounded BFS vocabularies aggregated bottom-up over the R-tree
+(:mod:`~repro.alpha.neighborhood`), the bit-parallel pass that computes
+them all at once (:mod:`~repro.alpha.build`), and the inverted file that
+serves the Lemma 2-5 bounds at query time (:mod:`~repro.alpha.index`)."""
 
 from repro.alpha.index import AlphaIndex, AlphaQueryView
 from repro.alpha.neighborhood import (

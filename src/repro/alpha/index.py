@@ -1,25 +1,48 @@
 """The alpha-radius word-neighborhood index used by the SP algorithm.
 
-Preprocessing (Section 5, "Construction"): compute ``WN(p)`` for every place
-by bounded BFS, then aggregate ``WN(N)`` for every R-tree node bottom-up by
-min-distance union.  Both are stored as an inverted file keyed by word, so a
-query loads only the posting lists of its keywords (the paper's "part of the
-neighborhoods relevant to the query keywords") and evaluates the Lemma 2–5
-bounds from them.
+Preprocessing (Section 5, "Construction"): ``WN(p)`` for every place and,
+by min-distance union up the R-tree, ``WN(N)`` for every node — computed
+for all places at once by :mod:`repro.alpha.build`.  Both are stored as an
+inverted file keyed by word, so a query loads only the posting lists of
+its keywords (the paper's "part of the neighborhoods relevant to the query
+keywords") and evaluates the Lemma 2–5 bounds from them.
+
+The inverted file has one representation, in memory and on disk: per kind
+(``"place"`` / ``"node"``) a directory with one
+:data:`~repro.alpha.build.DIRECTORY_ENTRY` per term id and a flat array of
+``(entry id, distance)`` u32 records, each term's run sorted by entry id.
+A built index holds them in ``bytearray``s, an index opened from a
+snapshot holds views of the mapped ``alpha.*`` sections; the class is the
+same.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
-
-from repro.alpha.neighborhood import (
-    WordNeighborhood,
-    merge_neighborhoods,
-    place_word_neighborhood,
+from collections import OrderedDict
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
 )
-from repro.rdf.csr import BFSScratch, csr_word_neighborhood
+
+from repro.alpha.build import (
+    DIRECTORY_ENTRY,
+    KINDS,
+    RECORD_BYTES,
+    build_postings,
+    sorted_terms,
+)
 from repro.rdf.graph import RDFGraph
 from repro.spatial.rtree import RTree
+
+# Decoded per-term posting dicts kept per index (LRU).
+_DECODED_TERMS = 256
 
 
 class AlphaIndex:
@@ -35,99 +58,140 @@ class AlphaIndex:
         csr=None,
     ) -> None:
         """``csr`` (a :class:`~repro.rdf.csr.CSRAdjacency` snapshot of
-        ``graph``) routes the per-place bounded BFS of the construction
-        pass onto the flat-array kernel; omit it to use the traversal
-        fallback."""
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        ``graph``) serves the construction pass its adjacency from flat
+        arrays; omit it to read ``graph``'s own neighbor lists."""
+        vocabulary, sections = build_postings(graph, rtree, alpha, undirected, csr)
+        self._adopt(alpha, undirected, vocabulary, sections)
+
+    @classmethod
+    def from_sections(
+        cls,
+        alpha: int,
+        undirected: bool,
+        terms: Iterable[str],
+        sections: Mapping[str, Tuple],
+        term_id: Optional[Callable[[str], Optional[int]]] = None,
+    ) -> "AlphaIndex":
+        """An index over existing ``{kind: (directory, records)}`` buffers
+        (any bytes-like objects, e.g. views of a mapped snapshot) whose
+        directories are indexed by the position of a term in ``terms``.
+        ``term_id`` resolves a term to that position (``None`` when
+        absent); without one a dict over ``terms`` is built."""
+        index = cls.__new__(cls)
+        index._adopt(alpha, undirected, terms, sections, term_id)
+        return index
+
+    @classmethod
+    def from_term_blocks(
+        cls, alpha: int, undirected: bool, blocks: Mapping[str, Mapping[str, bytes]]
+    ) -> "AlphaIndex":
+        """An index from per-term runs of records: ``blocks[kind][term]``
+        is what :meth:`term_runs` delimits in :meth:`section`'s records."""
+        vocabulary = sorted_terms({term for kind in KINDS for term in blocks[kind]})
+        sections = {}
+        for kind in KINDS:
+            directory = bytearray(DIRECTORY_ENTRY.size * len(vocabulary))
+            records = bytearray()
+            for term_id, term in enumerate(vocabulary):
+                block = blocks[kind].get(term)
+                if block:
+                    DIRECTORY_ENTRY.pack_into(
+                        directory,
+                        DIRECTORY_ENTRY.size * term_id,
+                        len(records) // RECORD_BYTES,
+                        len(block) // RECORD_BYTES,
+                        0,
+                    )
+                    records += block
+            sections[kind] = (directory, records)
+        return cls.from_sections(alpha, undirected, vocabulary, sections)
+
+    def _adopt(self, alpha, undirected, terms, sections, term_id=None) -> None:
         self.alpha = alpha
-        self._undirected = undirected
-        # word -> {place vertex id -> distance}
-        self._place_postings: Dict[str, Dict[int, int]] = {}
-        # word -> {R-tree node id -> distance}
-        self._node_postings: Dict[str, Dict[int, int]] = {}
-        self._build(graph, rtree, csr)
-
-    def _build(self, graph: RDFGraph, rtree: RTree, csr=None) -> None:
-        scratch = BFSScratch(csr.vertex_count) if csr is not None else None
-        place_neighborhoods: Dict[int, WordNeighborhood] = {}
-        for place, _ in graph.places():
-            if csr is not None:
-                neighborhood = csr_word_neighborhood(
-                    csr,
-                    scratch,
-                    graph.document,
-                    place,
-                    self.alpha,
-                    undirected=self._undirected,
-                )
-            else:
-                neighborhood = place_word_neighborhood(
-                    graph, place, self.alpha, undirected=self._undirected
-                )
-            place_neighborhoods[place] = neighborhood
-            for term, distance in neighborhood.items():
-                self._place_postings.setdefault(term, {})[place] = distance
-
-        # Bottom-up over tree levels: leaves aggregate their places, inner
-        # nodes aggregate their children.
-        node_neighborhoods: Dict[int, WordNeighborhood] = {}
-        for level in reversed(rtree.levels()):
-            for node in level:
-                aggregate: WordNeighborhood = {}
-                if node.is_leaf:
-                    for entry in node.entries:
-                        merge_neighborhoods(
-                            aggregate, place_neighborhoods.get(entry.key, {})
-                        )
-                else:
-                    for child in node.entries:
-                        merge_neighborhoods(
-                            aggregate, node_neighborhoods.get(child.node_id, {})
-                        )
-                node_neighborhoods[node.node_id] = aggregate
-                for term, distance in aggregate.items():
-                    self._node_postings.setdefault(term, {})[node.node_id] = distance
+        self.undirected = undirected
+        self._terms = terms
+        if term_id is None:
+            term_id = {term: rank for rank, term in enumerate(terms)}.get
+        self._term_id = term_id
+        self._sections = {kind: sections[kind] for kind in KINDS}
+        self._fields = {
+            kind: memoryview(records).cast("B").cast("I")
+            for kind, (_, records) in self._sections.items()
+        }
+        self._decoded: "OrderedDict[Tuple[str, int], Dict[int, int]]" = OrderedDict()
 
     # ------------------------------------------------------------------
+
+    def _postings_for(self, kind: str, term: str) -> Dict[int, int]:
+        """``{entry id: distance}`` of one term, decoded on first use."""
+        term_id = self._term_id(term)
+        if term_id is None:
+            return {}
+        key = (kind, term_id)
+        # pop + reinsert, not get + move_to_end: each step is atomic, so a
+        # concurrent eviction costs another thread one decode, never a KeyError.
+        cached = self._decoded.pop(key, None)
+        if cached is not None:
+            self._decoded[key] = cached
+            return cached
+        first, count, _ = DIRECTORY_ENTRY.unpack_from(
+            self._sections[kind][0], DIRECTORY_ENTRY.size * term_id
+        )
+        fields = self._fields[kind]
+        start, end = 2 * first, 2 * (first + count)
+        decoded = dict(zip(fields[start:end:2], fields[start + 1 : end : 2]))
+        self._decoded[key] = decoded
+        if len(self._decoded) > _DECODED_TERMS:
+            self._decoded.popitem(last=False)
+        return decoded
 
     def query_view(self, keywords: Sequence[str]) -> "AlphaQueryView":
         """Load the posting lists of the query keywords (Section 5,
         "Storage") and return a bound evaluator for this query."""
-        place_lists = {
-            term: self._place_postings.get(term, {}) for term in keywords
-        }
-        node_lists = {term: self._node_postings.get(term, {}) for term in keywords}
+        place_lists = {term: self._postings_for("place", term) for term in keywords}
+        node_lists = {term: self._postings_for("node", term) for term in keywords}
         return AlphaQueryView(self.alpha, tuple(keywords), place_lists, node_lists)
 
     def place_neighborhood_distance(self, place: int, term: str) -> Optional[int]:
-        posting = self._place_postings.get(term)
-        if posting is None:
-            return None
-        return posting.get(place)
+        return self._postings_for("place", term).get(place)
 
     def node_neighborhood_distance(self, node_id: int, term: str) -> Optional[int]:
-        posting = self._node_postings.get(term)
-        if posting is None:
-            return None
-        return posting.get(node_id)
+        return self._postings_for("node", term).get(node_id)
+
+    # ------------------------------------------------------------------
+
+    def terms(self) -> Iterator[str]:
+        """The vocabulary in term-id order."""
+        return iter(self._terms)
+
+    def section(self, kind: str) -> Tuple:
+        """The ``(directory, records)`` buffers of one kind."""
+        return self._sections[kind]
+
+    def term_runs(self, kind: str) -> List[Tuple[str, int, int]]:
+        """``(term, first record, record count)`` for every term with
+        postings of ``kind``, in term-id order."""
+        directory = self._sections[kind][0]
+        runs = []
+        for term_id, term in enumerate(self._terms):
+            first, count, _ = DIRECTORY_ENTRY.unpack_from(
+                directory, DIRECTORY_ENTRY.size * term_id
+            )
+            if count:
+                runs.append((term, first, count))
+        return runs
 
     def size_bytes(self) -> int:
-        """Flat-storage estimate for Table 6: every (entry id, distance) pair
-        is an 8-byte record, plus the term dictionary."""
-        total = 0
-        for term, posting in self._place_postings.items():
-            total += len(term.encode("utf-8")) + 12
-            total += 8 * len(posting)
-        for term, posting in self._node_postings.items():
-            total += len(term.encode("utf-8")) + 12
-            total += 8 * len(posting)
-        return total
+        """Bytes of the directories and records (Table 6) — what the
+        ``alpha.*`` sections of a snapshot occupy."""
+        return sum(
+            memoryview(buffer).nbytes
+            for section in self._sections.values()
+            for buffer in section
+        )
 
     def posting_entry_count(self) -> int:
-        return sum(len(p) for p in self._place_postings.values()) + sum(
-            len(p) for p in self._node_postings.values()
-        )
+        return sum(len(fields) for fields in self._fields.values()) // 2
 
 
 class AlphaQueryView:

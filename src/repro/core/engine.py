@@ -534,11 +534,11 @@ class KSPEngine:
         validated).
         """
         from repro.storage.snapshot import (
-            SnapshotAlphaIndex,
             SnapshotFile,
             SnapshotInvertedIndex,
             SnapshotRDFGraph,
             VocabView,
+            load_snapshot_alpha_index,
             load_snapshot_reachability,
             load_snapshot_rtree,
         )
@@ -595,7 +595,7 @@ class KSPEngine:
             engine.reachability = load_snapshot_reachability(snapshot, vocab, graph)
         engine.alpha_index = None
         if manifest["has_alpha_index"]:
-            engine.alpha_index = SnapshotAlphaIndex(snapshot, vocab)
+            engine.alpha_index = load_snapshot_alpha_index(snapshot, vocab)
         engine.manifest_hash = _hash_manifest(engine._manifest_dict())
         engine.build_seconds["snapshot_mmap"] = time.monotonic() - started
         return engine

@@ -12,11 +12,11 @@ allocation traffic dominates.  This module provides the tight loop:
 * :class:`BFSScratch` — reusable per-searcher buffers: an epoch-tagged
   visited array (no clearing between searches), a parent array and two
   frontier lists.  One instance per worker thread.
-* :func:`csr_tightest` / :func:`csr_cominimal_covers` /
-  :func:`csr_word_neighborhood` — level-synchronous ports of the
-  traversal-mixin consumers.  They visit vertices in exactly the same
-  order as the generator path (frontier order is FIFO order), so
-  results are identical; only the allocation profile changes.
+* :func:`csr_tightest` / :func:`csr_cominimal_covers` —
+  level-synchronous ports of the traversal-mixin consumers.  They visit
+  vertices in exactly the same order as the generator path (frontier
+  order is FIFO order), so results are identical; only the allocation
+  profile changes.
 
 The generator path remains the fallback for graph stores without a CSR
 snapshot (notably the buffer-pool disk graph, where materializing flat
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 _DEADLINE_CHECK_INTERVAL = 1024
 
@@ -329,59 +329,3 @@ def csr_cominimal_covers(
     if outstanding:
         return None
     return covers
-
-
-def csr_word_neighborhood(
-    csr: CSRAdjacency,
-    scratch: BFSScratch,
-    document: Callable[[int], Iterable[str]],
-    place: int,
-    alpha: int,
-    undirected: bool = False,
-) -> Dict[str, int]:
-    """Kernel port of :func:`repro.alpha.neighborhood.
-    place_word_neighborhood` — the alpha-index preprocessing BFS."""
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    neighborhood: Dict[str, int] = {}
-
-    scratch.ensure(csr.vertex_count)
-    epoch = scratch.next_epoch()
-    visited = scratch.visited
-    out_index, out_targets = csr.out_index, csr.out_targets
-    in_index, in_targets = csr.in_index, csr.in_targets
-
-    frontier = scratch.frontier
-    next_frontier = scratch.next_frontier
-    frontier.clear()
-    next_frontier.clear()
-    frontier.append(place)
-    visited[place] = epoch
-    distance = 0
-
-    # repro-lint: allow[RL002] bounded: expansion stops at alpha hops (validated non-negative above)
-    while frontier:
-        for vertex in frontier:
-            for term in document(vertex):
-                if term not in neighborhood:
-                    neighborhood[term] = distance
-        if distance == alpha:
-            break
-        for vertex in frontier:
-            for index in range(out_index[vertex], out_index[vertex + 1]):
-                neighbor = out_targets[index]
-                if visited[neighbor] != epoch:
-                    visited[neighbor] = epoch
-                    next_frontier.append(neighbor)
-            if undirected:
-                for index in range(in_index[vertex], in_index[vertex + 1]):
-                    neighbor = in_targets[index]
-                    if visited[neighbor] != epoch:
-                        visited[neighbor] = epoch
-                        next_frontier.append(neighbor)
-        frontier, next_frontier = next_frontier, frontier
-        next_frontier.clear()
-        distance += 1
-
-    scratch.frontier, scratch.next_frontier = frontier, next_frontier
-    return neighborhood

@@ -20,6 +20,7 @@ import struct
 from pathlib import Path
 from typing import BinaryIO, Dict, List, Union
 
+from repro.alpha.build import RECORD_BYTES
 from repro.alpha.index import AlphaIndex
 from repro.reach.condensation import Condensation
 from repro.reach.keyword import KeywordReachabilityIndex
@@ -161,28 +162,28 @@ def load_reachability(path: Union[str, Path], graph) -> KeywordReachabilityIndex
 # --------------------------------------------------------------------------
 
 
-def _write_postings(stream: BinaryIO, postings: Dict[str, Dict[int, int]]) -> None:
-    _write_u32(stream, len(postings))
-    for term in sorted(postings):
-        entries = postings[term]
+def _write_postings(stream: BinaryIO, index: AlphaIndex, kind: str) -> None:
+    runs = index.term_runs(kind)
+    records = memoryview(index.section(kind)[1]).cast("B")
+    _write_u32(stream, len(runs))
+    for term, first, count in runs:
         _write_string(stream, term)
-        _write_u32(stream, len(entries))
-        for entry_id in sorted(entries):
-            _write_u32(stream, entry_id)
-            _write_u32(stream, entries[entry_id])
+        _write_u32(stream, count)
+        stream.write(records[RECORD_BYTES * first : RECORD_BYTES * (first + count)])
 
 
-def _read_postings(stream: BinaryIO) -> Dict[str, Dict[int, int]]:
-    postings: Dict[str, Dict[int, int]] = {}
+def _read_postings(stream: BinaryIO) -> Dict[str, bytes]:
+    """``term -> run of (entry id, distance) records``; the file's entry
+    blocks are the index's record format byte for byte."""
+    postings: Dict[str, bytes] = {}
     term_count = _read_u32(stream)
     for _ in range(term_count):
         term = _read_string(stream)
-        entry_count = _read_u32(stream)
-        entries: Dict[int, int] = {}
-        for _ in range(entry_count):
-            entry_id = _read_u32(stream)
-            entries[entry_id] = _read_u32(stream)
-        postings[term] = entries
+        length = RECORD_BYTES * _read_u32(stream)
+        records = stream.read(length)
+        if len(records) != length:
+            raise ValueError("truncated index file")
+        postings[term] = records
     return postings
 
 
@@ -191,9 +192,9 @@ def save_alpha_index(index: AlphaIndex, path: Union[str, Path]) -> None:
     with open(path, "wb") as stream:
         stream.write(_ALPHA_MAGIC)
         _write_u32(stream, index.alpha)
-        _write_u32(stream, 1 if index._undirected else 0)
-        _write_postings(stream, index._place_postings)
-        _write_postings(stream, index._node_postings)
+        _write_u32(stream, 1 if index.undirected else 0)
+        _write_postings(stream, index, "place")
+        _write_postings(stream, index, "node")
 
 
 def load_alpha_index(path: Union[str, Path]) -> AlphaIndex:
@@ -211,10 +212,6 @@ def load_alpha_index(path: Union[str, Path]) -> AlphaIndex:
         undirected = bool(_read_u32(stream))
         place_postings = _read_postings(stream)
         node_postings = _read_postings(stream)
-
-    index = AlphaIndex.__new__(AlphaIndex)
-    index.alpha = alpha
-    index._undirected = undirected
-    index._place_postings = place_postings
-    index._node_postings = node_postings
-    return index
+    return AlphaIndex.from_term_blocks(
+        alpha, undirected, {"place": place_postings, "node": node_postings}
+    )

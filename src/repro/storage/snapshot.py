@@ -47,6 +47,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.alpha.build import DIRECTORY_ENTRY, KINDS, sorted_terms
+from repro.alpha.index import AlphaIndex
 from repro.rdf.traversal import GraphTraversalMixin
 from repro.spatial.geometry import Point, Rect
 from repro.spatial.rtree import LeafEntry, Node, RTree
@@ -58,7 +60,7 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<8sII32s32sQ")  # magic, version, sections, hashes, size
 _ENTRY = struct.Struct("<32sQQ")  # name, offset, length
-_DIR = struct.Struct("<QII")  # offset/record index, count, blob length / reserved
+_DIR = struct.Struct("<QII")  # inverted file: blob offset, posting count, blob length
 _NODE_HEADER = struct.Struct("<IBI")  # node_id, flags, entry_count
 _RECT = struct.Struct("<dddd")
 _LEAF_ENTRY = struct.Struct("<Idd")  # place vertex id, x, y
@@ -103,11 +105,18 @@ class SnapshotStats:
 
 
 class SnapshotWriter:
-    """Accumulates named sections and writes the validated single file."""
+    """Accumulates named sections and writes the validated single file.
+
+    Payloads are kept as views, not copies (the alpha records alone are
+    most of the file); the caller must not change them before
+    :meth:`finish`.  The file is written beside ``path`` and renamed over
+    it, so a snapshot can be re-saved onto the path it is mapped from and
+    readers of the old file keep a whole one.
+    """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self._path = Path(path)
-        self._sections: List[Tuple[str, bytes]] = []
+        self._sections: List[Tuple[str, memoryview]] = []
         self._names: set = set()
 
     def add(self, name: str, payload: Union[bytes, bytearray, memoryview]) -> None:
@@ -117,7 +126,7 @@ class SnapshotWriter:
         if name in self._names:
             raise SnapshotError("duplicate section: %r" % name)
         self._names.add(name)
-        self._sections.append((name, bytes(payload)))
+        self._sections.append((name, memoryview(payload).cast("B")))
 
     def finish(self) -> int:
         """Write the file; returns the number of bytes written."""
@@ -128,13 +137,13 @@ class SnapshotWriter:
         for _, payload in self._sections:
             offsets.append(position)
             content_hash.update(payload)
-            position += len(payload)
+            position += payload.nbytes
             position = _align(position)
         file_size = position
 
         table = bytearray()
         for (name, payload), offset in zip(self._sections, offsets):
-            table += _ENTRY.pack(name.encode("utf-8"), offset, len(payload))
+            table += _ENTRY.pack(name.encode("utf-8"), offset, payload.nbytes)
         table_hash = hashlib.sha256(bytes(table)).digest()
 
         header = _HEADER.pack(
@@ -145,15 +154,20 @@ class SnapshotWriter:
             content_hash.digest(),
             file_size,
         )
-        with open(self._path, "wb") as stream:
-            stream.write(header)
-            stream.write(bytes(table))
-            for (_, payload), offset in zip(self._sections, offsets):
-                stream.seek(offset)
-                stream.write(payload)
-            # Zero-pad to the recorded file size so every section (and the
-            # mapping itself) ends on a page boundary.
-            stream.truncate(file_size)
+        staging = self._path.with_name(self._path.name + ".tmp-%d" % os.getpid())
+        try:
+            with open(staging, "wb") as stream:
+                stream.write(header)
+                stream.write(bytes(table))
+                for (_, payload), offset in zip(self._sections, offsets):
+                    stream.seek(offset)
+                    stream.write(payload)
+                # Zero-pad to the recorded file size so every section (and
+                # the mapping itself) ends on a page boundary.
+                stream.truncate(file_size)
+            os.replace(staging, self._path)
+        finally:
+            staging.unlink(missing_ok=True)
         return file_size
 
 
@@ -165,12 +179,6 @@ def _u64_bytes(values) -> bytes:
     return array("Q", values).tobytes()
 
 
-def _build_vocabulary(inverted_index) -> List[str]:
-    """All indexed terms, sorted by their UTF-8 encoding so byte-wise
-    binary search over the blob is correct."""
-    return sorted(inverted_index.vocabulary(), key=lambda term: term.encode("utf-8"))
-
-
 def _string_sections(strings: Sequence[str]) -> Tuple[bytes, bytes]:
     offsets = array("Q", [0])
     blob = bytearray()
@@ -180,27 +188,24 @@ def _string_sections(strings: Sequence[str]) -> Tuple[bytes, bytes]:
     return offsets.tobytes(), bytes(blob)
 
 
-def _postings_sections(
-    postings: Dict[str, Dict[int, int]], term_ids: Dict[str, int], vocab_size: int
-) -> Tuple[bytes, bytes]:
-    """Alpha-index postings as a per-term directory plus flat (id,
-    distance) u32 pair records, directory indexed by term id."""
-    directory = [(0, 0)] * vocab_size
-    records = array("I")
-    for term, entries in postings.items():
+def _alpha_sections(
+    alpha_index, kind: str, term_ids: Dict[str, int], vocab_size: int
+) -> Tuple[bytearray, Any]:
+    """One kind of alpha postings as snapshot sections: the index's own
+    records, and its directory re-keyed by the snapshot's term ids (the
+    two numberings are equal unless the index was built over other
+    documents than the inverted file)."""
+    directory = bytearray(DIRECTORY_ENTRY.size * vocab_size)
+    for term, first, count in alpha_index.term_runs(kind):
         term_id = term_ids.get(term)
         if term_id is None:
             raise SnapshotError(
                 "alpha-index term %r is not in the inverted vocabulary" % term
             )
-        directory[term_id] = (len(records) // 2, len(entries))
-        for entry_id in sorted(entries):
-            records.append(entry_id)
-            records.append(entries[entry_id])
-    blob = bytearray()
-    for offset, count in directory:
-        blob += _DIR.pack(offset, count, 0)
-    return bytes(blob), records.tobytes()
+        DIRECTORY_ENTRY.pack_into(
+            directory, DIRECTORY_ENTRY.size * term_id, first, count, 0
+        )
+    return directory, alpha_index.section(kind)[1]
 
 
 def _label_csr_sections(labels) -> Tuple[bytes, bytes]:
@@ -233,7 +238,7 @@ def write_snapshot(
     from repro import __version__
 
     vertex_count = graph.vertex_count
-    vocabulary = _build_vocabulary(inverted_index)
+    vocabulary = sorted_terms(inverted_index.vocabulary())
     term_ids = {term: term_id for term_id, term in enumerate(vocabulary)}
 
     writer = SnapshotWriter(path)
@@ -324,18 +329,11 @@ def write_snapshot(
 
     # --- alpha-radius index -------------------------------------------
     if alpha_index is not None:
-        place_postings = getattr(alpha_index, "_place_postings", None)
-        node_postings = getattr(alpha_index, "_node_postings", None)
-        if place_postings is None or node_postings is None:
-            raise SnapshotError(
-                "cannot snapshot an alpha index that was itself loaded from "
-                "a snapshot; rebuild or load the engine first"
-            )
-        place_dir, place_records = _postings_sections(
-            place_postings, term_ids, len(vocabulary)
+        place_dir, place_records = _alpha_sections(
+            alpha_index, "place", term_ids, len(vocabulary)
         )
-        node_dir, node_records = _postings_sections(
-            node_postings, term_ids, len(vocabulary)
+        node_dir, node_records = _alpha_sections(
+            alpha_index, "node", term_ids, len(vocabulary)
         )
         writer.add("alpha.place_dir", place_dir)
         writer.add("alpha.place_postings", place_records)
@@ -851,81 +849,23 @@ class SnapshotInvertedIndex:
         )
 
 
-class SnapshotAlphaIndex:
-    """The :class:`~repro.alpha.index.AlphaIndex` query protocol over the
-    snapshot's flat (entry id, distance) posting records; per-term dicts
-    decode lazily and are LRU-cached."""
-
-    def __init__(
-        self, snapshot: SnapshotFile, vocab: VocabView, cache_size: int = 256
-    ) -> None:
-        from repro.alpha.index import AlphaQueryView
-
-        self._query_view_class = AlphaQueryView
-        self._snapshot = snapshot
-        self._vocab = vocab
-        self.alpha: int = snapshot.manifest["engine"]["alpha"]
-        self._dirs = {
-            "place": snapshot.section("alpha.place_dir"),
-            "node": snapshot.section("alpha.node_dir"),
-        }
-        self._records = {
-            "place": snapshot.array_view("alpha.place_postings", "I"),
-            "node": snapshot.array_view("alpha.node_postings", "I"),
-        }
-        self._cache: "OrderedDict[Tuple[str, int], Dict[int, int]]" = OrderedDict()
-        self._cache_size = cache_size
-
-    def _postings_for(self, kind: str, term: str) -> Dict[int, int]:
-        term_id = self._vocab.id_of(term)
-        if term_id is None:
-            return {}
-        key = (kind, term_id)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            return cached
-        offset, count, _ = _DIR.unpack_from(self._dirs[kind], _DIR.size * term_id)
-        records = self._records[kind]
-        decoded = {
-            records[2 * (offset + position)]: records[2 * (offset + position) + 1]
-            for position in range(count)
-        }
-        self._cache[key] = decoded
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-        return decoded
-
-    def query_view(self, keywords: Sequence[str]):
-        place_lists = {
-            term: self._postings_for("place", term) for term in keywords
-        }
-        node_lists = {term: self._postings_for("node", term) for term in keywords}
-        return self._query_view_class(
-            self.alpha, tuple(keywords), place_lists, node_lists
-        )
-
-    def place_neighborhood_distance(self, place: int, term: str) -> Optional[int]:
-        return self._postings_for("place", term).get(place)
-
-    def node_neighborhood_distance(self, node_id: int, term: str) -> Optional[int]:
-        return self._postings_for("node", term).get(node_id)
-
-    def size_bytes(self) -> int:
-        return sum(
-            self._snapshot.section_length(name)
-            for name in (
-                "alpha.place_dir",
-                "alpha.place_postings",
-                "alpha.node_dir",
-                "alpha.node_postings",
+def load_snapshot_alpha_index(snapshot: SnapshotFile, vocab: VocabView) -> AlphaIndex:
+    """The :class:`~repro.alpha.index.AlphaIndex` over the snapshot's
+    ``alpha.*`` sections, served zero-copy."""
+    engine_manifest = snapshot.manifest["engine"]
+    return AlphaIndex.from_sections(
+        engine_manifest["alpha"],
+        engine_manifest["undirected"],
+        vocab,
+        {
+            kind: (
+                snapshot.section("alpha.%s_dir" % kind),
+                snapshot.section("alpha.%s_postings" % kind),
             )
-        )
-
-    def posting_entry_count(self) -> int:
-        return (
-            len(self._records["place"]) + len(self._records["node"])
-        ) // 2
+            for kind in KINDS
+        },
+        term_id=vocab.id_of,
+    )
 
 
 class _CSRListView:

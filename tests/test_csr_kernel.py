@@ -17,7 +17,6 @@ from repro.rdf.csr import (
     CSRAdjacency,
     csr_cominimal_covers,
     csr_tightest,
-    csr_word_neighborhood,
 )
 from repro.rdf.graph import RDFGraph
 from repro.spatial.geometry import Point
@@ -198,20 +197,30 @@ class TestCominimalCoversAgreement:
 
 
 class TestWordNeighborhoodAgreement:
+    """The alpha build reads its adjacency from the CSR snapshot when the
+    engine has one; either source must reproduce the generator path
+    (tests/test_alpha_build.py holds the property suite)."""
+
     @pytest.mark.parametrize("undirected", [False, True])
     @pytest.mark.parametrize("alpha", [0, 1, 3])
     def test_matches_generator_path(self, alpha, undirected):
         rng = random.Random(31)
-        graph = random_graph(rng)
-        csr = CSRAdjacency.from_graph(graph)
-        scratch = BFSScratch(csr.vertex_count)
+        graph = random_graph(rng, place_share=1.0)
+        index = AlphaIndex(
+            graph,
+            RTree.bulk_load(graph.places()),
+            alpha=alpha,
+            undirected=undirected,
+            csr=CSRAdjacency.from_graph(graph),
+        )
         for place in range(graph.vertex_count):
             expected = place_word_neighborhood(
                 graph, place, alpha, undirected=undirected
             )
-            got = csr_word_neighborhood(
-                csr, scratch, graph.document, place, alpha, undirected=undirected
-            )
+            distances = {
+                term: index.place_neighborhood_distance(place, term) for term in TERMS
+            }
+            got = {term: d for term, d in distances.items() if d is not None}
             assert got == expected, place
 
     def test_alpha_index_invariant_under_kernel(self):
@@ -221,5 +230,5 @@ class TestWordNeighborhoodAgreement:
         csr = CSRAdjacency.from_graph(graph)
         baseline = AlphaIndex(graph, rtree, alpha=2)
         kernel = AlphaIndex(graph, rtree, alpha=2, csr=csr)
-        assert kernel._place_postings == baseline._place_postings
-        assert kernel._node_postings == baseline._node_postings
+        assert kernel.section("place") == baseline.section("place")
+        assert kernel.section("node") == baseline.section("node")

@@ -3,76 +3,75 @@
 Two comparisons the paper discusses but does not plot:
 
 * **Memory-resident vs disk-resident data graph** (Section 1 footnote 1 /
-  Section 8 future work): SP query latency over the in-memory adjacency
-  lists vs the buffer-pool-backed CSR file, with buffer hit rates.
+  Section 8 future work): SPP query latency over the in-memory adjacency
+  lists vs the mmap'd snapshot graph, which the OS pages in and out.
 * **One-by-one R-tree insertion vs STR bulk loading** (the Table 5
   discussion: "the cost can be drastically reduced if bulk loading was
   used"): build time of both, and query cost over both trees.
 """
 
+import tempfile
 import time
+from pathlib import Path
 
 
-from repro.bench.context import dataset
-from repro.bench.tables import Table, results_dir
+from repro.bench.context import DEFAULT_ALPHA, dataset
+from repro.bench.tables import Table
+from repro.core.engine import KSPEngine
 from repro.core.sp import sp_search
 from repro.core.spp import spp_search
 from repro.alpha.index import AlphaIndex
 from repro.spatial.rtree import RTree
-from repro.storage.diskgraph import DiskRDFGraph, write_disk_graph
+from repro.storage.snapshot import write_snapshot
 
 
 def _disk_graph_comparison():
     ds = dataset("dbpedia")
     queries = ds.workload("O", keyword_count=5, k=5)
-    path = results_dir() / "dbpedia_graph.rgrf"
-    write_disk_graph(ds.graph, path)
-
     table = Table(
         "Memory vs disk-resident data graph (SPP queries)",
-        ["backend", "runtime_ms", "graph_bytes", "buffer_hit_rate"],
+        ["backend", "runtime_ms", "graph_bytes"],
     )
     memory_total = 0.0
     for query in queries:
         memory_total += ds.run(query, "spp").stats.runtime_seconds
-    table.add_row(
-        "memory",
-        1000 * memory_total / len(queries),
-        ds.graph.size_bytes(),
-        float("nan"),
-    )
+    table.add_row("memory", 1000 * memory_total / len(queries), ds.graph.size_bytes())
 
-    with DiskRDFGraph(path, capacity_pages=512) as disk:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dbpedia.snap"
+        write_snapshot(
+            path,
+            ds.graph,
+            ds.inverted_index,
+            ds.rtree,
+            alpha=DEFAULT_ALPHA,
+            undirected=False,
+            rtree_max_entries=ds.rtree.max_entries,
+        )
+        disk = KSPEngine.from_snapshot(path).graph
         # The algorithms only need the graph for BFS; reuse the existing
         # inverted/reachability indexes (they are graph-content-equal).
         disk_total = 0.0
         results_match = True
         for query in queries:
             started = time.monotonic()
-            result = spp_search(
-                disk, ds.rtree, ds.inverted_index, ds.reachability, query
-            )
+            result = spp_search(disk, ds.rtree, ds.inverted_index, ds.reachability, query)
             disk_total += time.monotonic() - started
             reference = ds.run(query, "spp")
             if result.roots() != reference.roots():
                 results_match = False
         table.add_row(
-            "disk (512-page pool)",
-            1000 * disk_total / len(queries),
-            disk.size_bytes(),
-            disk.buffer_stats.hit_rate,
+            "snapshot (mmap)", 1000 * disk_total / len(queries), disk.size_bytes()
         )
-        hit_rate = disk.buffer_stats.hit_rate
-    return table, memory_total, disk_total, hit_rate, results_match
+    return table, memory_total, disk_total, results_match
 
 
-def test_disk_graph_backend(benchmark, emit):
-    table, memory_total, disk_total, hit_rate, results_match = benchmark.pedantic(
+def test_disk_resident_graph(benchmark, emit):
+    table, memory_total, disk_total, results_match = benchmark.pedantic(
         _disk_graph_comparison, rounds=1, iterations=1
     )
     emit("ablation_disk_graph", table)
     assert results_match  # identical answers on both backends
-    assert hit_rate > 0.5  # the buffer pool absorbs most accesses
     # The disk backend pays a bounded penalty, not an order of magnitude.
     assert disk_total < 60 * max(memory_total, 1e-3)
 

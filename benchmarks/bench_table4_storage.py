@@ -6,10 +6,12 @@ the Yago-like R-tree is far larger than the DBpedia-like one (5.4x more
 places) while its inverted index is far smaller (low keyword frequency).
 """
 
+import tempfile
+from pathlib import Path
 
-from repro.bench.context import dataset
+from repro.bench.context import DEFAULT_ALPHA, dataset
 from repro.bench.tables import Table
-from repro.text.inverted import DiskInvertedIndex
+from repro.storage.snapshot import SnapshotFile, write_snapshot
 
 
 def _measure():
@@ -23,12 +25,23 @@ def _measure():
         rtree_bytes = ds.rtree.size_bytes()
         graph_bytes = ds.graph.size_bytes()
         inverted_bytes = ds.inverted_index.size_bytes()
-        from repro.bench.tables import results_dir
-
-        disk_path = results_dir() / ("%s_inverted.bin" % name)
-        ds.inverted_index.save(disk_path)
-        with DiskInvertedIndex(disk_path) as disk:
-            disk_bytes = disk.size_bytes()
+        # On disk, the inverted file is the snapshot's directory and its
+        # gap + varint posting blobs.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / ("%s.snap" % name)
+            write_snapshot(
+                path,
+                ds.graph,
+                ds.inverted_index,
+                ds.rtree,
+                alpha=DEFAULT_ALPHA,
+                undirected=False,
+                rtree_max_entries=ds.rtree.max_entries,
+            )
+            with SnapshotFile(path) as snapshot:
+                disk_bytes = snapshot.section_length(
+                    "inverted.dir"
+                ) + snapshot.section_length("inverted.postings")
         table.add_row(name, rtree_bytes, graph_bytes, inverted_bytes, disk_bytes)
         measurements[name] = (rtree_bytes, graph_bytes, inverted_bytes)
     table.add_note(

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Scenario: a deployed kSP service — build once, reload fast, paginate.
+"""Scenario: a deployed kSP service — build once, reopen fast, paginate.
 
 The paper's preprocessing is heavy (Table 5: the alpha-radius pass alone
 takes 20 hours on full DBpedia), so a real deployment builds the indexes
-once and serves queries from reloaded state.  This example:
+once and serves queries from persisted state.  This example:
 
-1. builds an engine over a Yago-like corpus and *saves* it to a directory
-   (graph + compressed inverted index + PLL reachability labels + alpha
-   inverted files + manifest);
-2. *reloads* it — comparing reload time with build time — in both memory
-   and disk-resident graph backends;
+1. builds an engine over a Yago-like corpus and *saves* it as one
+   snapshot file (graph + inverted file + PLL reachability labels + alpha
+   postings + R-tree + manifest);
+2. *reopens* it — comparing the open time with the build time — with the
+   graph, inverted file and alpha postings served zero-copy from the
+   memory-mapped file;
 3. serves a paginated result stream with the incremental cursor ("show me
    five more") without ever choosing k;
 4. demonstrates that the paper's batch kSP query and the cursor agree.
@@ -19,9 +20,9 @@ Run with::
     python examples/persistence_and_pagination.py
 """
 
-import shutil
 import tempfile
 import time
+from pathlib import Path
 
 from repro import KSPEngine
 from repro.datagen import YAGO_LIKE, QueryGenerator, WorkloadConfig, generate_graph
@@ -39,21 +40,20 @@ def main():
     build_seconds = time.monotonic() - build_started
     print("  built in %.2f s %s" % (build_seconds, engine.build_seconds))
 
-    directory = tempfile.mkdtemp(prefix="ksp-engine-")
-    try:
-        engine.save(directory)
-        print("Saved engine to %s" % directory)
+    with tempfile.TemporaryDirectory(prefix="ksp-engine-") as directory:
+        path = Path(directory) / "kb.snap"
+        size = engine.save_snapshot(path)
+        print("Saved a %.1f MB snapshot to %s" % (size / 1e6, path))
 
-        for backend in ("memory", "disk"):
-            load_started = time.monotonic()
-            loaded = KSPEngine.load(directory, graph_backend=backend)
-            load_seconds = time.monotonic() - load_started
-            print(
-                "  reloaded (%s backend) in %.2f s — %.0fx faster than building"
-                % (backend, load_seconds, build_seconds / max(load_seconds, 1e-9))
-            )
+        open_started = time.monotonic()
+        served = KSPEngine.from_snapshot(path)
+        open_seconds = time.monotonic() - open_started
+        print(
+            "  reopened in %.3f s — %.0fx faster than building"
+            % (open_seconds, build_seconds / max(open_seconds, 1e-9))
+        )
+        assert served.manifest_hash == engine.manifest_hash
 
-        served = KSPEngine.load(directory)
         generator = QueryGenerator(
             served.graph,
             served.inverted_index,
@@ -103,8 +103,6 @@ def main():
         batch_scores = [round(p.score, 9) for p in batch]
         assert stream_scores == batch_scores
         print("\nBatch top-%d and cursor prefix agree." % query.k)
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -31,13 +31,7 @@ from typing import (
     Tuple,
 )
 
-from repro.alpha.build import (
-    DIRECTORY_ENTRY,
-    KINDS,
-    RECORD_BYTES,
-    build_postings,
-    sorted_terms,
-)
+from repro.alpha.build import DIRECTORY_ENTRY, KINDS, build_postings
 from repro.rdf.graph import RDFGraph
 from repro.spatial.rtree import RTree
 
@@ -80,31 +74,6 @@ class AlphaIndex:
         index = cls.__new__(cls)
         index._adopt(alpha, undirected, terms, sections, term_id)
         return index
-
-    @classmethod
-    def from_term_blocks(
-        cls, alpha: int, undirected: bool, blocks: Mapping[str, Mapping[str, bytes]]
-    ) -> "AlphaIndex":
-        """An index from per-term runs of records: ``blocks[kind][term]``
-        is what :meth:`term_runs` delimits in :meth:`section`'s records."""
-        vocabulary = sorted_terms({term for kind in KINDS for term in blocks[kind]})
-        sections = {}
-        for kind in KINDS:
-            directory = bytearray(DIRECTORY_ENTRY.size * len(vocabulary))
-            records = bytearray()
-            for term_id, term in enumerate(vocabulary):
-                block = blocks[kind].get(term)
-                if block:
-                    DIRECTORY_ENTRY.pack_into(
-                        directory,
-                        DIRECTORY_ENTRY.size * term_id,
-                        len(records) // RECORD_BYTES,
-                        len(block) // RECORD_BYTES,
-                        0,
-                    )
-                    records += block
-            sections[kind] = (directory, records)
-        return cls.from_sections(alpha, undirected, vocabulary, sections)
 
     def _adopt(self, alpha, undirected, terms, sections, term_id=None) -> None:
         self.alpha = alpha

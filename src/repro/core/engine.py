@@ -72,29 +72,12 @@ class KSPEngine:
         config: Optional[EngineConfig] = None,
     ) -> None:
         config = config or EngineConfig()
-        self.graph = graph
-        self.config = config
-        self.alpha = config.alpha
-        self.undirected = config.undirected
-        self.rtree_max_entries = config.rtree_max_entries
-        self.build_seconds: Dict[str, float] = {}
-
-        self.csr: Optional[CSRAdjacency] = None
-        if config.use_csr_kernel:
-            started = time.monotonic()
-            self.csr = CSRAdjacency.from_graph(graph)
-            self.build_seconds["csr_snapshot"] = time.monotonic() - started
-        self.tqsp_cache: Optional[TQSPCache] = (
-            TQSPCache(config.tqsp_cache_size) if config.tqsp_cache_size > 0 else None
-        )
-        self._runtime: Optional[TQSPRuntime] = (
-            TQSPRuntime(csr=self.csr, cache=self.tqsp_cache)
-            if (self.csr is not None or self.tqsp_cache is not None)
-            else None
-        )
-        self.flight_recorder = FlightRecorder(config.flight_recorder_size)
-        self._snapshot = None
-        self._init_metrics()
+        started = time.monotonic()
+        csr = CSRAdjacency.from_graph(graph) if config.use_csr_kernel else None
+        csr_seconds = time.monotonic() - started
+        self._assemble(graph, config, csr)
+        if csr is not None:
+            self.build_seconds["csr_snapshot"] = csr_seconds
 
         started = time.monotonic()
         self.inverted_index = InvertedIndex.build(graph)
@@ -127,6 +110,37 @@ class KSPEngine:
             self.build_seconds["alpha_index"] = time.monotonic() - started
 
         self.manifest_hash = _hash_manifest(self._manifest_dict())
+
+    def _assemble(
+        self,
+        graph,
+        config: EngineConfig,
+        csr: Optional[CSRAdjacency],
+        snapshot=None,
+    ) -> None:
+        """Wire the serving state every constructor shares: the graph and
+        its build-time settings, the CSR kernel (``csr``, or ``None`` for
+        the generator traversal), the TQSP cache and runtime, the flight
+        recorder, the backing snapshot (if any) and the metric families.
+        The caller then attaches the four indexes."""
+        self.graph = graph
+        self.config = config
+        self.alpha = config.alpha
+        self.undirected = config.undirected
+        self.rtree_max_entries = config.rtree_max_entries
+        self.build_seconds: Dict[str, float] = {}
+        self.csr = csr
+        self.tqsp_cache: Optional[TQSPCache] = (
+            TQSPCache(config.tqsp_cache_size) if config.tqsp_cache_size > 0 else None
+        )
+        self._runtime: Optional[TQSPRuntime] = (
+            TQSPRuntime(csr=csr, cache=self.tqsp_cache)
+            if (csr is not None or self.tqsp_cache is not None)
+            else None
+        )
+        self.flight_recorder = FlightRecorder(config.flight_recorder_size)
+        self._snapshot = snapshot
+        self._init_metrics()
 
     # ------------------------------------------------------------------
     # Serving metrics
@@ -240,7 +254,7 @@ class KSPEngine:
             self.metrics.gauge(
                 "ksp_tqsp_cache_hit_ratio", "TQSP cache hits / lookups"
             ).set(counters["hits"] / lookups if lookups else 0.0)
-        snapshot = getattr(self, "_snapshot", None)
+        snapshot = self._snapshot
         if snapshot is not None:
             stats = snapshot.stats
             self.metrics.gauge(
@@ -257,26 +271,6 @@ class KSPEngine:
             self.metrics.gauge(
                 "ksp_snapshot_sections", "sections in the open index snapshot"
             ).set(len(snapshot.names()))
-        pool_stats = getattr(self.graph, "buffer_stats", None)
-        if pool_stats is not None:
-            self.metrics.gauge(
-                "ksp_buffer_pool_hits_total", "disk-graph buffer pool page hits"
-            ).set(pool_stats.hits)
-            self.metrics.gauge(
-                "ksp_buffer_pool_misses_total",
-                "disk-graph buffer pool page misses (disk reads)",
-            ).set(pool_stats.misses)
-            self.metrics.gauge(
-                "ksp_buffer_pool_evictions_total",
-                "disk-graph buffer pool LRU evictions",
-            ).set(pool_stats.evictions)
-            self.metrics.gauge(
-                "ksp_buffer_pool_prefetches_total",
-                "disk-graph pages read ahead on sequential hints",
-            ).set(pool_stats.prefetches)
-            self.metrics.gauge(
-                "ksp_buffer_pool_hit_ratio", "buffer pool hits / accesses"
-            ).set(pool_stats.hit_rate)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -331,11 +325,11 @@ class KSPEngine:
     # ------------------------------------------------------------------
 
     def _manifest_dict(self) -> Dict[str, Any]:
-        """The engine-directory manifest (also the build-info hash input).
+        """The engine manifest (the build-info hash input).
 
-        Built-in-memory and reloaded-from-disk engines over the same
-        data produce the same dict, so ``manifest_hash`` identifies the
-        index snapshot regardless of how the engine came to be.
+        Built-in-memory and snapshot-opened engines over the same data
+        produce the same dict, so ``manifest_hash`` identifies the index
+        snapshot regardless of how the engine came to be.
         """
         return {
             "format": 1,
@@ -349,156 +343,16 @@ class KSPEngine:
             "has_alpha_index": self.alpha_index is not None,
         }
 
-    def save(self, directory) -> None:
-        """Persist the graph and all built indexes to ``directory``.
-
-        The preprocessing of Table 5 is expensive (20 hours of alpha-radius
-        work on full DBpedia), so deployments build once and reload with
-        :meth:`load`.  Only PLL-backed reachability indexes are saved;
-        everything is validated against a manifest on reload.
-        """
-        import json
-        from pathlib import Path
-
-        from repro.storage.diskgraph import write_disk_graph
-        from repro.storage.serialize import save_alpha_index, save_reachability
-
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        write_disk_graph(self.graph, directory / "graph.rgrf")
-        self.inverted_index.save(directory / "inverted.idx", compress=True)
-        manifest = self._manifest_dict()
-        if self.reachability is not None:
-            save_reachability(self.reachability, directory / "reach.idx")
-        if self.alpha_index is not None:
-            save_alpha_index(self.alpha_index, directory / "alpha.idx")
-        (directory / "manifest.json").write_text(
-            json.dumps(manifest, indent=2), encoding="utf-8"
-        )
-
-    @classmethod
-    def load(
-        cls,
-        directory,
-        graph_backend: str = "memory",
-        config: Optional[EngineConfig] = None,
-    ) -> "KSPEngine":
-        """Reload an engine saved with :meth:`save`.
-
-        ``graph_backend`` selects the data graph store: ``"memory"``
-        (default, adjacency lists) or ``"disk"`` (buffer-pool CSR — the
-        larger-than-memory path).  The R-tree is rebuilt by the
-        deterministic STR loader, so the persisted alpha node postings
-        stay valid.  The in-memory CSR kernel snapshot is only built for
-        the memory backend — the disk backend keeps the generator
-        traversal fallback so queries stay within the buffer pool.
-
-        ``config`` supplies the serving knobs (``use_csr_kernel``,
-        ``tqsp_cache_size``, default ranking, workers); the fields that
-        were fixed at build time (``alpha``, ``undirected``,
-        ``rtree_max_entries``) are overridden by the manifest.
-        """
-        import json
-        import time as _time
-        from pathlib import Path
-
-        from repro.storage.diskgraph import DiskRDFGraph, read_memory_graph
-        from repro.storage.serialize import load_alpha_index, load_reachability
-
-        config = config or EngineConfig()
-        directory = Path(directory)
-        manifest = json.loads(
-            (directory / "manifest.json").read_text(encoding="utf-8")
-        )
-        if manifest.get("format") != 1:
-            raise ValueError("unsupported engine directory format")
-        if graph_backend == "memory":
-            graph = read_memory_graph(directory / "graph.rgrf")
-        elif graph_backend == "disk":
-            graph = DiskRDFGraph(directory / "graph.rgrf")
-        else:
-            raise ValueError("graph_backend must be 'memory' or 'disk'")
-        # A graph file can match on vertex count yet still be the wrong
-        # snapshot (different edges or place annotations) — then every
-        # index built from the manifest silently mis-answers.  Validate
-        # all three counts and name the first mismatched field.
-        for field, actual in (
-            ("vertices", graph.vertex_count),
-            ("edges", graph.edge_count),
-            ("places", graph.place_count()),
-        ):
-            expected = manifest.get(field)
-            if expected is not None and actual != expected:
-                raise ValueError(
-                    "graph file does not match the manifest: %s is %d, "
-                    "manifest records %d" % (field, actual, expected)
-                )
-
-        config = config.replace(
-            alpha=manifest["alpha"],
-            undirected=manifest["undirected"],
-            rtree_max_entries=manifest["rtree_max_entries"],
-        )
-        engine = cls.__new__(cls)
-        engine.graph = graph
-        engine.config = config
-        engine.alpha = config.alpha
-        engine.undirected = config.undirected
-        engine.rtree_max_entries = config.rtree_max_entries
-        engine.build_seconds = {}
-
-        engine.csr = None
-        if config.use_csr_kernel and graph_backend == "memory":
-            started = _time.monotonic()
-            engine.csr = CSRAdjacency.from_graph(graph)
-            engine.build_seconds["csr_snapshot"] = _time.monotonic() - started
-        engine.tqsp_cache = (
-            TQSPCache(config.tqsp_cache_size)
-            if config.tqsp_cache_size > 0
-            else None
-        )
-        engine._runtime = (
-            TQSPRuntime(csr=engine.csr, cache=engine.tqsp_cache)
-            if (engine.csr is not None or engine.tqsp_cache is not None)
-            else None
-        )
-        engine.flight_recorder = FlightRecorder(config.flight_recorder_size)
-        engine._snapshot = None
-        engine._init_metrics()
-
-        started = _time.monotonic()
-        engine.inverted_index = InvertedIndex.load(directory / "inverted.idx")
-        engine.build_seconds["inverted_index"] = _time.monotonic() - started
-
-        started = _time.monotonic()
-        engine.rtree = RTree.bulk_load(
-            graph.places(), max_entries=engine.rtree_max_entries
-        )
-        engine.build_seconds["rtree"] = _time.monotonic() - started
-
-        engine.reachability = None
-        if manifest["has_reachability"]:
-            started = _time.monotonic()
-            engine.reachability = load_reachability(directory / "reach.idx", graph)
-            engine.build_seconds["reachability"] = _time.monotonic() - started
-
-        engine.alpha_index = None
-        if manifest["has_alpha_index"]:
-            started = _time.monotonic()
-            engine.alpha_index = load_alpha_index(directory / "alpha.idx")
-            engine.build_seconds["alpha_index"] = _time.monotonic() - started
-        engine.manifest_hash = _hash_manifest(engine._manifest_dict())
-        return engine
-
     def save_snapshot(self, path) -> int:
         """Write every query-time index into one immutable, page-aligned
         snapshot file (see :mod:`repro.storage.snapshot`).
 
-        Unlike :meth:`save` (an engine *directory* that re-decodes on
-        load), the snapshot is mmap'd and served zero-copy by
-        :meth:`from_snapshot`, so warm start is O(1) in the data size
-        and forked serving workers share one copy of the page cache.
-        Returns the number of bytes written.
+        The preprocessing of Table 5 is expensive (20 hours of
+        alpha-radius work on full DBpedia), so deployments build once and
+        reopen with :meth:`from_snapshot`: the file is mmap'd and served
+        zero-copy, so warm start is O(1) in the data size and forked
+        serving workers share one copy of the page cache.  Returns the
+        number of bytes written.
         """
         from repro.storage.snapshot import write_snapshot
 
@@ -527,11 +381,13 @@ class KSPEngine:
         postings and reachability labels are served through zero-copy
         views over the mapping, and the R-tree is reconstructed from its
         node section (ids preserved, so the alpha node postings stay
-        valid).  ``config`` supplies the serving knobs exactly as in
-        :meth:`load`; the build-time fields come from the snapshot
-        manifest.  ``verify=True`` additionally checks the full content
-        hash before serving (the header and section table are always
-        validated).
+        valid).  ``config`` supplies the serving knobs
+        (``use_csr_kernel``, ``tqsp_cache_size``, default ranking,
+        workers); the build-time fields (``alpha``, ``undirected``,
+        ``rtree_max_entries``) come from the snapshot manifest.
+        ``verify=True`` additionally checks the full content hash before
+        serving (the header and section table are always validated, and
+        so are the manifest's graph counts against the graph sections).
         """
         from repro.storage.snapshot import (
             SnapshotFile,
@@ -557,37 +413,17 @@ class KSPEngine:
         )
         graph = SnapshotRDFGraph(snapshot, vocab)
 
-        engine = cls.__new__(cls)
-        engine.graph = graph
-        engine.config = config
-        engine.alpha = config.alpha
-        engine.undirected = config.undirected
-        engine.rtree_max_entries = config.rtree_max_entries
-        engine.build_seconds = {}
-
-        engine.csr = None
+        csr = None
         if config.use_csr_kernel:
-            engine.csr = CSRAdjacency(
+            csr = CSRAdjacency(
                 manifest["vertices"],
                 snapshot.array_view("graph.out_index", "q"),
                 snapshot.array_view("graph.out_targets", "i"),
                 snapshot.array_view("graph.in_index", "q"),
                 snapshot.array_view("graph.in_targets", "i"),
             )
-        engine.tqsp_cache = (
-            TQSPCache(config.tqsp_cache_size)
-            if config.tqsp_cache_size > 0
-            else None
-        )
-        engine._runtime = (
-            TQSPRuntime(csr=engine.csr, cache=engine.tqsp_cache)
-            if (engine.csr is not None or engine.tqsp_cache is not None)
-            else None
-        )
-        engine.flight_recorder = FlightRecorder(config.flight_recorder_size)
-        engine._snapshot = snapshot
-        engine._init_metrics()
-
+        engine = cls.__new__(cls)
+        engine._assemble(graph, config, csr, snapshot)
         engine.inverted_index = SnapshotInvertedIndex(snapshot, vocab)
         engine.rtree = load_snapshot_rtree(snapshot)
         engine.reachability = None

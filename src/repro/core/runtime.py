@@ -3,8 +3,8 @@
 A :class:`TQSPRuntime` bundles what the engine builds once and every
 query reuses:
 
-* the :class:`~repro.rdf.csr.CSRAdjacency` snapshot (None for graph
-  backends that keep the generator fallback, e.g. the disk graph);
+* the :class:`~repro.rdf.csr.CSRAdjacency` snapshot (None when the
+  engine is configured for the generator fallback);
 * the cross-query :class:`~repro.core.tqsp_cache.TQSPCache` (None when
   caching is disabled);
 * per-thread :class:`~repro.rdf.csr.BFSScratch` buffers, handed out via

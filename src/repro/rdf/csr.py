@@ -18,9 +18,10 @@ allocation traffic dominates.  This module provides the tight loop:
   order is FIFO order), so results are identical; only the allocation
   profile changes.
 
-The generator path remains the fallback for graph stores without a CSR
-snapshot (notably the buffer-pool disk graph, where materializing flat
-arrays would defeat the backend's purpose).
+The generator path remains the fallback when an engine is configured
+without the kernel (``EngineConfig(use_csr_kernel=False)``).  An engine
+opened from a snapshot wraps the mapped ``graph.*`` sections instead of
+materializing new arrays.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Graph traversal shared by the in-memory and disk-resident graph stores.
+"""Graph traversal shared by the in-memory and the mmap'd snapshot graph stores.
 
 Any class exposing ``vertex_count``, ``out_neighbors(v)`` and
 ``in_neighbors(v)`` gains BFS, shortest-path and weak-component methods by
@@ -34,8 +34,8 @@ class GraphTraversalMixin:
         if not 0 <= start < self.vertex_count:
             raise IndexError("no such vertex: %d" % start)
         # BFS touches vertices in frontier order, not file order — let
-        # stores with an access-pattern hint (buffer pool readahead,
-        # mmap madvise) know not to read ahead.
+        # stores with an access-pattern hint (the snapshot's mmap
+        # madvise) know not to read ahead.
         advise = getattr(self, "read_hint", None)
         if advise is not None:
             advise("random")

@@ -1031,7 +1031,15 @@ def _make_handler(app: KSPServer):
             self.wfile.write(raw)
 
         def _read_json(self) -> Any:
-            length = int(self.headers.get("Content-Length", "0"))
+            try:
+                length = int(self.headers.get("Content-Length", "0"))
+            except ValueError:
+                length = -1
+            if length < 0:
+                # The body's end is unknown: answer, then drop the
+                # connection rather than parse leftovers as a request.
+                self.close_connection = True
+                raise SchemaError("Content-Length must be a non-negative integer")
             raw = self.rfile.read(length) if length else b""
             if not raw:
                 raise SchemaError("request body is required")

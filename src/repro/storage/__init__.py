@@ -1,13 +1,10 @@
-"""Disk-resident storage substrate: page buffer pool and the on-disk CSR
-graph store (the paper's future-work item for larger-than-memory data)."""
+"""Persistence: one mmap'd, versioned snapshot file holds every
+query-time index (see :mod:`repro.storage.snapshot`)."""
 
-from repro.storage.diskgraph import DiskRDFGraph, write_disk_graph
-from repro.storage.pages import PAGE_SIZE, BufferPool, BufferPoolStats
+from repro.storage.snapshot import SnapshotError, SnapshotFile, write_snapshot
 
 __all__ = [
-    "BufferPool",
-    "BufferPoolStats",
-    "PAGE_SIZE",
-    "DiskRDFGraph",
-    "write_disk_graph",
+    "SnapshotError",
+    "SnapshotFile",
+    "write_snapshot",
 ]

@@ -1,15 +1,16 @@
 """Single-file, versioned, immutable index snapshots served zero-copy.
 
-The engine directory written by :meth:`KSPEngine.save` re-parses and
-re-decodes every structure on load; a *snapshot* instead lays out every
-query-time index — the CSR graph arrays, vertex labels/documents/
-locations, the inverted file, the alpha-radius word-neighborhood
-postings, the PLL reachability labels and the R-tree nodes — as
-fixed-layout, page-aligned sections of one file.  A reader maps the
-file with :mod:`mmap` once and serves every structure through
-``memoryview`` casts over the mapping: warm start is O(1) in the data
-size, the OS page cache is shared between processes mapping the same
-file, and fork-based serving workers pay no per-process index memory.
+The snapshot is the one on-disk format: it lays out every query-time
+index — the CSR graph arrays, vertex labels/documents/locations, the
+inverted file, the alpha-radius word-neighborhood postings, the PLL
+reachability labels and the R-tree nodes — as fixed-layout, page-aligned
+sections of one file.  A reader maps the file with :mod:`mmap` once and
+serves every structure through ``memoryview`` casts over the mapping:
+warm start is O(1) in the data size, the OS page cache is shared between
+processes mapping the same file, and fork-based serving workers pay no
+per-process index memory.  Because the OS pages the mapping in and out,
+:class:`SnapshotRDFGraph` is also the larger-than-memory graph store of
+the paper's footnote 1.
 
 File layout (little-endian, 4096-byte pages)::
 
@@ -233,7 +234,8 @@ def write_snapshot(
     file.  Returns the number of bytes written.
 
     ``reachability`` must be PLL-backed when present (GRAIL indexes are
-    rebuild-only, exactly as in :mod:`repro.storage.serialize`).
+    rebuild-only: their fallback DFS needs the full DAG adjacency, which
+    is not stored).
     """
     from repro import __version__
 
@@ -673,6 +675,18 @@ class SnapshotRDFGraph(GraphTraversalMixin):
         self._doc_terms = snapshot.array_view("graph.doc_terms", "I")
         self._place_ids = snapshot.array_view("graph.place_ids", "I")
         self._place_xy = snapshot.array_view("graph.place_xy", "d")
+        # The manifest sizes every view of the graph; a manifest that
+        # disagrees with the sections would mis-answer silently.
+        for field, actual in (
+            ("vertices", len(self._out_index) - 1),
+            ("edges", len(self._out_targets)),
+            ("places", len(self._place_ids)),
+        ):
+            if actual != engine_manifest[field]:
+                raise SnapshotError(
+                    "corrupted snapshot: manifest records %s = %d, the graph "
+                    "sections hold %d" % (field, engine_manifest[field], actual)
+                )
         self._doc_cache: "OrderedDict[int, FrozenSet[str]]" = OrderedDict()
         self._doc_cache_size = record_cache_size
         self._label_lookup: Optional[Dict[str, int]] = None

@@ -1,7 +1,6 @@
-"""Text substrate: tokenizer and inverted indexes over vertex documents."""
+"""Text substrate: tokenizer and the inverted index over vertex documents."""
 
 from repro.text.inverted import (
-    DiskInvertedIndex,
     InvertedIndex,
     build_query_map,
     order_rarest_first,
@@ -14,7 +13,6 @@ __all__ = [
     "tokenize_all",
     "STOPWORDS",
     "InvertedIndex",
-    "DiskInvertedIndex",
     "build_query_map",
     "order_rarest_first",
 ]

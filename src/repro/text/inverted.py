@@ -5,30 +5,20 @@ query time the posting lists of the query keywords are loaded and converted
 into the map ``M_{q.psi}`` (vertex -> matched query keywords, Table 2) that
 ``GetSemanticPlace`` probes during BFS.
 
-Two interchangeable implementations are provided:
-
-* :class:`InvertedIndex` — in-memory, used by the benchmarks for timing
-  stability;
-* :class:`DiskInvertedIndex` — file-backed with an in-memory term dictionary
-  and one seek per posting-list read, matching the paper's setting where the
-  document index is disk-resident "following the setting of commercial
-  search engines".
+:class:`InvertedIndex` is the in-memory file a build produces.  The
+paper's disk-resident document index ("following the setting of
+commercial search engines") is
+:class:`~repro.storage.snapshot.SnapshotInvertedIndex`: the same read
+protocol over the varint posting blobs of a mapped snapshot.
 """
 
 from __future__ import annotations
 
-import struct
-from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence
 
 from repro.rdf.graph import RDFGraph
-from repro.text.varint import decode_posting_list, encode_posting_list
 
 QueryMap = Dict[int, FrozenSet[str]]
-
-_HEADER = b"RPIX1\n"  # raw u32 postings
-_HEADER_COMPRESSED = b"RPIX2\n"  # gap + varint postings
-_COUNT_STRUCT = struct.Struct("<I")
 
 
 class InvertedIndex:
@@ -47,16 +37,6 @@ class InvertedIndex:
         index.finalize()
         return index
 
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "InvertedIndex":
-        """Load a saved index file fully into memory."""
-        index = cls()
-        with DiskInvertedIndex(path) as disk:
-            for term in disk.vocabulary():
-                index._postings[term] = list(disk.posting(term))
-        index._finalized = True
-        return index
-
     def add_document(self, vertex: int, terms: Iterable[str]) -> None:
         if self._finalized:
             raise RuntimeError("index already finalized")
@@ -70,7 +50,7 @@ class InvertedIndex:
         self._finalized = True
 
     # ------------------------------------------------------------------
-    # Read API (shared protocol with DiskInvertedIndex)
+    # Read API (shared protocol with SnapshotInvertedIndex)
     # ------------------------------------------------------------------
 
     def posting(self, term: str) -> Sequence[int]:
@@ -112,125 +92,6 @@ class InvertedIndex:
     def _require_finalized(self) -> None:
         if not self._finalized:
             raise RuntimeError("finalize() must be called before querying")
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path: Union[str, Path], compress: bool = False) -> None:
-        """Write the index in the :class:`DiskInvertedIndex` file format.
-
-        ``compress=True`` gap-encodes posting lists with varints (format
-        ``RPIX2``): typically 3-4x smaller than raw u32 postings.
-        """
-        self._require_finalized()
-        with open(path, "wb") as stream:
-            stream.write(_HEADER_COMPRESSED if compress else _HEADER)
-            stream.write(_COUNT_STRUCT.pack(len(self._postings)))
-            # Dictionary section is written after the postings, so compute
-            # offsets first by laying out postings sequentially.
-            blobs: List[Tuple[str, bytes, int]] = []
-            for term in sorted(self._postings):
-                posting = self._postings[term]
-                if compress:
-                    blob = encode_posting_list(posting)
-                else:
-                    blob = struct.pack("<%dI" % len(posting), *posting)
-                blobs.append((term, blob, len(posting)))
-            directory = bytearray()
-            offset = 0
-            for term, blob, count in blobs:
-                encoded = term.encode("utf-8")
-                directory += _COUNT_STRUCT.pack(len(encoded))
-                directory += encoded
-                directory += struct.pack("<QII", offset, count, len(blob))
-                offset += len(blob)
-            stream.write(_COUNT_STRUCT.pack(len(directory)))
-            stream.write(bytes(directory))
-            for _, blob, _ in blobs:
-                stream.write(blob)
-
-
-class DiskInvertedIndex:
-    """Read side of the on-disk inverted file written by ``save``.
-
-    The term dictionary (term -> offset, length) lives in memory; each
-    ``posting`` call performs one seek + one read, the access pattern of a
-    disk-resident index.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self._path = Path(path)
-        self._stream = open(self._path, "rb")  # noqa: SIM115 - closed by self.close()
-        header = self._stream.read(len(_HEADER))
-        if header == _HEADER:
-            self._compressed = False
-        elif header == _HEADER_COMPRESSED:
-            self._compressed = True
-        else:
-            self._stream.close()
-            raise ValueError("not a repro inverted index file: %s" % path)
-        (term_count,) = _COUNT_STRUCT.unpack(self._stream.read(4))
-        (directory_size,) = _COUNT_STRUCT.unpack(self._stream.read(4))
-        directory = self._stream.read(directory_size)
-        # term -> (byte offset, entry count, blob length)
-        self._dictionary: Dict[str, Tuple[int, int, int]] = {}
-        position = 0
-        for _ in range(term_count):
-            (name_length,) = _COUNT_STRUCT.unpack_from(directory, position)
-            position += 4
-            term = directory[position : position + name_length].decode("utf-8")
-            position += name_length
-            offset, count, blob_length = struct.unpack_from(
-                "<QII", directory, position
-            )
-            position += 16
-            self._dictionary[term] = (offset, count, blob_length)
-        self._postings_base = self._stream.tell()
-        self.reads = 0  # number of posting-list fetches performed
-
-    def close(self) -> None:
-        self._stream.close()
-
-    def __enter__(self) -> "DiskInvertedIndex":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def posting(self, term: str) -> Sequence[int]:
-        entry = self._dictionary.get(term)
-        if entry is None:
-            return []
-        offset, count, blob_length = entry
-        self._stream.seek(self._postings_base + offset)
-        blob = self._stream.read(blob_length)
-        self.reads += 1
-        if self._compressed:
-            return decode_posting_list(blob, count)
-        return list(struct.unpack("<%dI" % count, blob))
-
-    def document_frequency(self, term: str) -> int:
-        entry = self._dictionary.get(term)
-        return 0 if entry is None else entry[1]
-
-    def __contains__(self, term: str) -> bool:
-        return term in self._dictionary
-
-    def vocabulary(self) -> Iterator[str]:
-        return iter(self._dictionary)
-
-    def vocabulary_size(self) -> int:
-        return len(self._dictionary)
-
-    def average_posting_length(self) -> float:
-        if not self._dictionary:
-            return 0.0
-        total = sum(count for _, count, _ in self._dictionary.values())
-        return total / len(self._dictionary)
-
-    def size_bytes(self) -> int:
-        return self._path.stat().st_size
 
 
 def build_query_map(

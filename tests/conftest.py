@@ -41,3 +41,18 @@ def tiny_dbpedia_engine(tiny_dbpedia_graph):
 @pytest.fixture(scope="session")
 def tiny_yago_engine(tiny_yago_graph):
     return KSPEngine(tiny_yago_graph, EngineConfig(alpha=3))
+
+
+@pytest.fixture(scope="session")
+def reopened(tmp_path_factory):
+    """``reopened(graph)``: the engine opened from a fresh snapshot of
+    ``graph`` (inverted file and R-tree only), so its ``graph`` and
+    ``inverted_index`` serve from the mapped file."""
+
+    def _reopen(graph):
+        path = tmp_path_factory.mktemp("snap") / "graph.snap"
+        config = EngineConfig(build_reachability=False, build_alpha=False)
+        KSPEngine(graph, config).save_snapshot(path)
+        return KSPEngine.from_snapshot(path)
+
+    return _reopen

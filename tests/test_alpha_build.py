@@ -23,7 +23,6 @@ from repro.rdf.graph import RDFGraph
 from repro.shard.build import PlaceMaskedGraph
 from repro.spatial.geometry import Point
 from repro.spatial.rtree import RTree
-from repro.storage.diskgraph import DiskRDFGraph, write_disk_graph
 
 WORDS = ["w%d" % number for number in range(7)] + ["é", "日本"]
 
@@ -173,12 +172,11 @@ class TestGraphBackends:
             place for entries in expected["place"].values() for place in entries
         } <= set(allowed)
 
-    def test_disk_graph_builds_the_same_sections(self, tiny_yago_graph, tmp_path):
+    def test_disk_graph_builds_the_same_sections(self, tiny_yago_graph, reopened):
         rtree = RTree.bulk_load(tiny_yago_graph.places(), max_entries=8)
         memory = AlphaIndex(tiny_yago_graph, rtree, alpha=2, undirected=True)
-        write_disk_graph(tiny_yago_graph, tmp_path / "graph.rgrf")
-        with DiskRDFGraph(tmp_path / "graph.rgrf") as disk:
-            on_disk = AlphaIndex(disk, rtree, alpha=2, undirected=True)
+        disk = reopened(tiny_yago_graph).graph
+        on_disk = AlphaIndex(disk, rtree, alpha=2, undirected=True)
         for kind in KINDS:
             assert on_disk.section(kind) == memory.section(kind)
         assert list(on_disk.terms()) == list(memory.terms())

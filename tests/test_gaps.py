@@ -175,8 +175,8 @@ class TestGeometryGaps:
 class TestEngineReportsOnLoadedState:
     def test_storage_report_after_load(self, tmp_path, example_graph):
         engine = KSPEngine(example_graph, EngineConfig(alpha=2))
-        engine.save(tmp_path / "e")
-        loaded = KSPEngine.load(tmp_path / "e")
+        engine.save_snapshot(tmp_path / "e.snap")
+        loaded = KSPEngine.from_snapshot(tmp_path / "e.snap")
         report = loaded.storage_report()
         assert report["reachability"] > 0
         assert report["alpha_index"] > 0

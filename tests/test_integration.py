@@ -48,21 +48,22 @@ class TestFilePipeline:
                 assert file_result[0].score <= direct_result[0].score + 1e-9
 
     def test_disk_inverted_index_in_query_path(self, file_engine, tmp_path):
-        """The disk-resident inverted index can drive the algorithms."""
+        """The disk-resident inverted index (the snapshot's, decoded from
+        the mapped file) can drive the algorithms."""
         from repro.core.bsp import bsp_search
-        from repro.text.inverted import DiskInvertedIndex
 
         subgraph, engine = file_engine
-        path = tmp_path / "inverted.bin"
-        engine.inverted_index.save(path)
+        path = tmp_path / "corpus.snap"
+        engine.save_snapshot(path)
+        disk = KSPEngine.from_snapshot(path).inverted_index
         generator = QueryGenerator(
             engine.graph, engine.inverted_index, WorkloadConfig(keyword_count=2, seed=9)
         )
         query = generator.original()
-        with DiskInvertedIndex(path) as disk:
-            disk_result = bsp_search(engine.graph, engine.rtree, disk, query)
-            memory_result = bsp_search(
-                engine.graph, engine.rtree, engine.inverted_index, query
-            )
-            assert [p.root for p in disk_result] == [p.root for p in memory_result]
-            assert disk.reads >= len(query.keywords)
+        disk_result = bsp_search(engine.graph, engine.rtree, disk, query)
+        memory_result = bsp_search(
+            engine.graph, engine.rtree, engine.inverted_index, query
+        )
+        assert [p.root for p in disk_result] == [p.root for p in memory_result]
+        for term in query.keywords:
+            assert list(disk.posting(term)) == list(engine.inverted_index.posting(term))

@@ -1,12 +1,14 @@
-"""Inverted index: in-memory, disk-resident, query map, keyword ordering."""
+"""Inverted index: in-memory, disk-resident (the snapshot's), query map,
+keyword ordering."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import KSPEngine
 from repro.rdf.graph import RDFGraph
+from repro.storage.snapshot import SnapshotError
 from repro.text.inverted import (
-    DiskInvertedIndex,
     InvertedIndex,
     build_query_map,
     order_rarest_first,
@@ -22,6 +24,13 @@ def index_from_documents(docs):
         index.add_document(vertex, doc)
     index.finalize()
     return index
+
+
+def graph_from_documents(docs):
+    graph = RDFGraph()
+    for vertex, doc in enumerate(docs):
+        graph.add_vertex("v%d" % vertex, document=doc)
+    return graph
 
 
 class TestInvertedIndex:
@@ -81,37 +90,35 @@ class TestInvertedIndex:
 
 
 class TestDiskIndex:
-    def test_round_trip(self, tmp_path):
-        index = index_from_documents([{"x", "y"}, {"y"}, {"x", "z"}])
-        path = tmp_path / "index.bin"
-        index.save(path)
-        with DiskInvertedIndex(path) as disk:
-            assert list(disk.posting("x")) == list(index.posting("x"))
-            assert list(disk.posting("y")) == list(index.posting("y"))
-            assert disk.posting("absent") == []
-            assert disk.document_frequency("z") == 1
-            assert disk.vocabulary_size() == index.vocabulary_size()
-            assert disk.average_posting_length() == pytest.approx(
-                index.average_posting_length()
-            )
-            assert disk.size_bytes() == path.stat().st_size
-            assert disk.reads == 2  # "absent" does not touch the file
+    def test_round_trip(self, reopened):
+        graph = graph_from_documents([{"x", "y"}, {"y"}, {"x", "z"}])
+        index = InvertedIndex.build(graph)
+        disk = reopened(graph).inverted_index
+        assert list(disk.posting("x")) == list(index.posting("x"))
+        assert list(disk.posting("y")) == list(index.posting("y"))
+        assert list(disk.posting("absent")) == []
+        assert "absent" not in disk
+        assert disk.document_frequency("z") == 1
+        assert disk.vocabulary_size() == index.vocabulary_size()
+        assert sorted(disk.vocabulary()) == sorted(index.vocabulary())
+        assert disk.average_posting_length() == pytest.approx(
+            index.average_posting_length()
+        )
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
-        path.write_bytes(b"not an index")
-        with pytest.raises(ValueError):
-            DiskInvertedIndex(path)
+        path.write_bytes(b"not an index" * 10)
+        with pytest.raises(SnapshotError):
+            KSPEngine.from_snapshot(path)
 
     @given(docs=documents)
     @settings(max_examples=20, deadline=None)
-    def test_round_trip_property(self, docs, tmp_path_factory):
+    def test_round_trip_property(self, docs, reopened):
         index = index_from_documents(docs)
-        path = tmp_path_factory.mktemp("idx") / "index.bin"
-        index.save(path)
-        with DiskInvertedIndex(path) as disk:
-            for term in index.vocabulary():
-                assert list(disk.posting(term)) == list(index.posting(term))
+        disk = reopened(graph_from_documents(docs)).inverted_index
+        assert disk.vocabulary_size() == index.vocabulary_size()
+        for term in index.vocabulary():
+            assert list(disk.posting(term)) == list(index.posting(term))
 
 
 class TestQueryMap:

@@ -11,6 +11,7 @@ happened.
 
 import json
 import random
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
@@ -380,6 +381,27 @@ class TestProtocol:
             assert b"not valid JSON" in response.read()
         finally:
             connection.close()
+
+    @pytest.mark.parametrize("length", [b"abc", b"-1"])
+    def test_malformed_content_length_400(self, server, length):
+        """A Content-Length that is not a non-negative integer is answered
+        400 and the connection closed — not dropped without a reply, and
+        not left blocking a worker on a body read that never ends."""
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10.0) as sock:
+            sock.sendall(
+                b"POST /v1/query HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n"
+            )
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply
+        assert "Content-Length" in json.loads(body)["error"]
 
     def test_schema_violations_400(self, server):
         for bad in (

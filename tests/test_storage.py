@@ -1,4 +1,5 @@
-"""Disk-resident graph store: format round-trip, buffer pool, algorithms."""
+"""The snapshot graph store — the file-backed graph of the paper's
+footnote 1: round trip, bounds, and the algorithms running over it."""
 
 import pytest
 
@@ -7,63 +8,25 @@ from repro.datagen import QueryGenerator, WorkloadConfig
 from repro.datagen.paper_example import EXAMPLE_KEYWORDS, Q1, build_example_graph
 from repro.datagen.sampling import induced_subgraph
 from repro.rdf.graph import RDFGraph
-from repro.storage.diskgraph import DiskRDFGraph, write_disk_graph
-from repro.storage.pages import BufferPool
+from repro.storage.snapshot import (
+    SnapshotError,
+    SnapshotFile,
+    SnapshotRDFGraph,
+    VocabView,
+)
 from repro.core.config import EngineConfig
 
 
 @pytest.fixture(scope="module")
-def example_disk(tmp_path_factory):
-    path = tmp_path_factory.mktemp("disk") / "example.rgrf"
+def example_disk(reopened):
     graph = build_example_graph()
-    write_disk_graph(graph, path)
-    disk = DiskRDFGraph(path)
-    yield graph, disk
-    disk.close()
+    return graph, reopened(graph).graph
 
 
 @pytest.fixture(scope="module")
-def corpus_disk(tiny_yago_graph, tmp_path_factory):
+def corpus_disk(tiny_yago_graph, reopened):
     subgraph = induced_subgraph(tiny_yago_graph, list(range(500)))
-    path = tmp_path_factory.mktemp("disk") / "corpus.rgrf"
-    write_disk_graph(subgraph, path)
-    disk = DiskRDFGraph(path, capacity_pages=16)
-    yield subgraph, disk
-    disk.close()
-
-
-class TestBufferPool:
-    def test_read_spanning_pages(self, tmp_path):
-        path = tmp_path / "data.bin"
-        payload = bytes(range(256)) * 200  # 51200 bytes, > 6 pages
-        path.write_bytes(payload)
-        with BufferPool(path, capacity_pages=4) as pool:
-            assert pool.read(0, 10) == payload[:10]
-            assert pool.read(8190, 10) == payload[8190:8200]  # page boundary
-            assert pool.read(100, 0) == b""
-            assert pool.read(0, len(payload)) == payload
-
-    def test_lru_eviction_and_stats(self, tmp_path):
-        path = tmp_path / "data.bin"
-        path.write_bytes(b"x" * (8192 * 8))
-        with BufferPool(path, capacity_pages=2) as pool:
-            pool.read(0, 1)          # page 0 miss
-            pool.read(8192, 1)       # page 1 miss
-            pool.read(0, 1)          # page 0 hit
-            pool.read(8192 * 3, 1)   # page 3 miss, evicts page 1 (LRU)
-            pool.read(8192, 1)       # page 1 miss again
-            assert pool.stats.hits == 1
-            assert pool.stats.misses == 4
-            assert pool.stats.evictions >= 1
-            assert 0 < pool.stats.hit_rate < 1
-
-    def test_validation(self, tmp_path):
-        path = tmp_path / "data.bin"
-        path.write_bytes(b"x")
-        with pytest.raises(ValueError):
-            BufferPool(path, capacity_pages=0)
-        with BufferPool(path) as pool, pytest.raises(ValueError):
-            pool.read(-1, 4)
+    return subgraph, reopened(subgraph).graph
 
 
 class TestFormatRoundTrip:
@@ -114,52 +77,53 @@ class TestFormatRoundTrip:
         _, disk = example_disk
         with pytest.raises(IndexError):
             disk.out_neighbors(999)
+        with pytest.raises(IndexError):
+            disk.document(-1)
 
     def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.rgrf"
+        path = tmp_path / "junk.snap"
         path.write_bytes(b"not a graph file" * 10)
-        with pytest.raises(ValueError):
-            DiskRDFGraph(path)
+        with pytest.raises(SnapshotError, match="not a repro snapshot"):
+            SnapshotFile(path)
 
-    def test_empty_graph(self, tmp_path):
-        path = tmp_path / "empty.rgrf"
-        write_disk_graph(RDFGraph(), path)
-        with DiskRDFGraph(path) as disk:
-            assert disk.vertex_count == 0
-            assert list(disk.places()) == []
+    def test_empty_graph(self, reopened):
+        disk = reopened(RDFGraph()).graph
+        assert disk.vertex_count == 0
+        assert list(disk.places()) == []
 
-    def test_tiny_buffer_pool_still_correct(self, corpus_disk, tmp_path):
+    def test_tiny_record_cache_still_correct(self, corpus_disk, tmp_path):
         graph, _ = corpus_disk
-        path = tmp_path / "again.rgrf"
-        write_disk_graph(graph, path)
-        with DiskRDFGraph(path, capacity_pages=1, record_cache_size=2) as disk:
+        path = tmp_path / "again.snap"
+        config = EngineConfig(build_reachability=False, build_alpha=False)
+        KSPEngine(graph, config).save_snapshot(path)
+        snapshot = SnapshotFile(path)
+        vocab = VocabView(
+            snapshot.array_view("vocab.offsets", "Q"), snapshot.section("vocab.blob")
+        )
+        disk = SnapshotRDFGraph(snapshot, vocab, record_cache_size=2)
+        for _ in range(2):  # the second pass re-decodes evicted records
             for vertex in list(graph.vertices())[:50]:
                 assert disk.document(vertex) == graph.document(vertex)
                 assert list(disk.out_neighbors(vertex)) == list(
                     graph.out_neighbors(vertex)
                 )
-            assert disk.buffer_stats.evictions > 0
 
 
 class TestAlgorithmsOnDiskGraph:
-    def test_engine_over_disk_graph_matches_memory(self, tmp_path):
+    def test_engine_over_disk_graph_matches_memory(self, reopened):
         graph = build_example_graph()
-        path = tmp_path / "example.rgrf"
-        write_disk_graph(graph, path)
-        with DiskRDFGraph(path) as disk:
-            memory_engine = KSPEngine(graph, EngineConfig(alpha=2))
-            disk_engine = KSPEngine(disk, EngineConfig(alpha=2))
-            for method in ("bsp", "spp", "sp", "ta"):
-                memory_result = memory_engine.query(
-                    Q1, EXAMPLE_KEYWORDS, k=2, method=method
-                )
-                disk_result = disk_engine.query(
-                    Q1, EXAMPLE_KEYWORDS, k=2, method=method
-                )
-                assert [p.root_label for p in disk_result] == [
-                    p.root_label for p in memory_result
-                ]
-                assert disk_result.scores() == memory_result.scores()
+        disk = reopened(graph).graph
+        memory_engine = KSPEngine(graph, EngineConfig(alpha=2))
+        disk_engine = KSPEngine(disk, EngineConfig(alpha=2))
+        for method in ("bsp", "spp", "sp", "ta"):
+            memory_result = memory_engine.query(
+                Q1, EXAMPLE_KEYWORDS, k=2, method=method
+            )
+            disk_result = disk_engine.query(Q1, EXAMPLE_KEYWORDS, k=2, method=method)
+            assert [p.root_label for p in disk_result] == [
+                p.root_label for p in memory_result
+            ]
+            assert disk_result.scores() == memory_result.scores()
 
     def test_corpus_queries_match(self, corpus_disk):
         graph, disk = corpus_disk

@@ -1,10 +1,10 @@
-"""The shared traversal mixin across both graph stores."""
+"""The shared traversal mixin across both graph stores (in-memory and
+the mmap'd snapshot)."""
 
 import pytest
 
 from repro.datagen.sampling import induced_subgraph
 from repro.rdf.graph import RDFGraph
-from repro.storage.diskgraph import DiskRDFGraph, write_disk_graph
 
 
 def diamond():
@@ -19,12 +19,9 @@ def diamond():
 
 class TestMixinOnDiskGraph:
     @pytest.fixture()
-    def disk(self, tmp_path):
+    def disk(self, reopened):
         graph, ids = diamond()
-        path = tmp_path / "g.rgrf"
-        write_disk_graph(graph, path)
-        with DiskRDFGraph(path) as disk_graph:
-            yield disk_graph, ids
+        return reopened(graph).graph, ids
 
     def test_bfs_out_of_range(self, disk):
         disk_graph, _ = disk
@@ -45,17 +42,11 @@ class TestMixinOnDiskGraph:
 
 
 class TestMixinConsistency:
-    def test_wcc_identical_across_stores(self, tiny_yago_graph, tmp_path):
+    def test_wcc_identical_across_stores(self, tiny_yago_graph, reopened):
         subgraph = induced_subgraph(tiny_yago_graph, list(range(250)))
-        path = tmp_path / "g.rgrf"
-        write_disk_graph(subgraph, path)
-        with DiskRDFGraph(path) as disk_graph:
-            memory_components = [
-                sorted(c) for c in subgraph.weakly_connected_components()
-            ]
-            disk_components = [
-                sorted(c) for c in disk_graph.weakly_connected_components()
-            ]
-            assert sorted(map(tuple, memory_components)) == sorted(
-                map(tuple, disk_components)
-            )
+        disk_graph = reopened(subgraph).graph
+        memory_components = [sorted(c) for c in subgraph.weakly_connected_components()]
+        disk_components = [sorted(c) for c in disk_graph.weakly_connected_components()]
+        assert sorted(map(tuple, memory_components)) == sorted(
+            map(tuple, disk_components)
+        )

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.text.inverted import DiskInvertedIndex, InvertedIndex
+from repro.core.config import EngineConfig
+from repro.core.engine import KSPEngine
+from repro.rdf.graph import RDFGraph
+from repro.storage.snapshot import SnapshotFile
+from repro.text.inverted import InvertedIndex
 from repro.text.varint import (
     decode_posting_list,
     decode_varint,
@@ -87,44 +91,36 @@ class TestPostingCompression:
 
 
 class TestCompressedDiskIndex:
-    def _index(self):
-        index = InvertedIndex()
+    """The snapshot's inverted file stores gap + varint posting blobs."""
+
+    def _graph(self):
+        graph = RDFGraph()
         for vertex in range(200):
             terms = {"common"}
             if vertex % 3 == 0:
                 terms.add("third")
             if vertex % 97 == 0:
                 terms.add("rare")
-            index.add_document(vertex, terms)
-        index.finalize()
-        return index
+            graph.add_vertex("v%d" % vertex, document=terms)
+        return graph
 
-    def test_round_trip_compressed(self, tmp_path):
-        index = self._index()
-        path = tmp_path / "compressed.bin"
-        index.save(path, compress=True)
-        with DiskInvertedIndex(path) as disk:
-            for term in index.vocabulary():
-                assert list(disk.posting(term)) == list(index.posting(term))
-            assert disk.document_frequency("third") == index.document_frequency(
-                "third"
-            )
+    def test_round_trip_compressed(self, reopened):
+        graph = self._graph()
+        index = InvertedIndex.build(graph)
+        disk = reopened(graph).inverted_index
+        for term in index.vocabulary():
+            assert list(disk.posting(term)) == list(index.posting(term))
+        assert disk.document_frequency("third") == index.document_frequency("third")
 
     def test_compression_shrinks_file(self, tmp_path):
-        index = self._index()
-        raw_path = tmp_path / "raw.bin"
-        compressed_path = tmp_path / "compressed.bin"
-        index.save(raw_path)
-        index.save(compressed_path, compress=True)
-        assert compressed_path.stat().st_size < raw_path.stat().st_size
-
-    def test_both_formats_coexist(self, tmp_path):
-        index = self._index()
-        raw_path = tmp_path / "raw.bin"
-        compressed_path = tmp_path / "compressed.bin"
-        index.save(raw_path)
-        index.save(compressed_path, compress=True)
-        with DiskInvertedIndex(raw_path) as raw, DiskInvertedIndex(
-            compressed_path
-        ) as compressed:
-            assert list(raw.posting("common")) == list(compressed.posting("common"))
+        graph = self._graph()
+        path = tmp_path / "compressed.snap"
+        config = EngineConfig(build_reachability=False, build_alpha=False)
+        engine = KSPEngine(graph, config)
+        engine.save_snapshot(path)
+        index = engine.inverted_index
+        raw_bytes = 4 * sum(
+            index.document_frequency(term) for term in index.vocabulary()
+        )
+        with SnapshotFile(path) as snapshot:
+            assert snapshot.section_length("inverted.postings") < raw_bytes

@@ -67,13 +67,13 @@ def _agreement(single, router, queries):
     return rows, identical, total
 
 
-def _routing(serial_router, queries, k=5):
+def _routing(router, queries, k=5):
     executed = 0
     pruned = 0
     answered = 0
     for query in queries:
         location = (query.location.x, query.location.y)
-        result = serial_router.query(
+        result = router.query(
             location, list(query.keywords), k=k, method="sp"
         )
         answered += 1
@@ -134,10 +134,9 @@ def _sweep():
         manifest = build_shards(ds.graph, shard_dir, SHARDS, config=config)
         single = KSPEngine(ds.graph, config)
         router = ShardRouter(shard_dir, config)
-        serial = ShardRouter(shard_dir, config, parallelism=1)
 
         agreement_rows, identical, total = _agreement(single, router, queries)
-        routing = _routing(serial, queries)
+        routing = _routing(router, queries)
         degraded = _degraded(shard_dir, config, queries)
         shard_places = [entry["places"] for entry in manifest["entries"]]
 

@@ -20,8 +20,9 @@ first-class hazard for this repository, so the rule checks two things:
    socket / mmap are *pre-fork resources*.  A function reachable from
    the ``if pid == 0:`` child branch that reads such an attribute is
    flagged, unless it re-creates the attribute itself or carries an
-   ``os.getpid()`` guard (the pid-recheck idiom ``ShardRouter._executor``
-   uses to rebuild its pool after a fork).  Deliberate sharing — the
+   ``os.getpid()`` guard (the pid-recheck idiom: rebuild a lazily
+   created pool when the current pid differs from the one that built
+   it).  Deliberate sharing — the
    pre-bound listen socket every worker accepts on — is exactly what an
    inline suppression with a reason is for.
 

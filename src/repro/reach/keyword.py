@@ -42,7 +42,9 @@ class KeywordReachabilityIndex:
         if vocabulary is None:
             seen: Dict[str, int] = {}
             for vertex in graph.vertices():
-                for term in graph.document(vertex):
+                # Documents are frozensets: sort them so term numbering,
+                # and with it the snapshot bytes, is hash-seed independent.
+                for term in sorted(graph.document(vertex)):
                     if term not in seen:
                         seen[term] = base + len(seen)
             self._term_vertex = seen
@@ -54,7 +56,7 @@ class KeywordReachabilityIndex:
         # Edges into each term vertex, indexed by (term vertex id - base).
         term_in: List[List[int]] = [[] for _ in range(len(self._term_vertex))]
         for vertex in graph.vertices():
-            for term in graph.document(vertex):
+            for term in sorted(graph.document(vertex)):
                 slot = self._term_vertex.get(term)
                 if slot is not None:
                     term_in[slot - base].append(vertex)
@@ -69,7 +71,7 @@ class KeywordReachabilityIndex:
                     yield from graph.in_neighbors(vertex)
                 else:
                     yield from graph.out_neighbors(vertex)
-                for term in graph.document(vertex):
+                for term in sorted(graph.document(vertex)):
                     slot = self._term_vertex.get(term)
                     if slot is not None:
                         yield slot

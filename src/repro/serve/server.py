@@ -138,6 +138,15 @@ from repro.sparql.plan import (
 
 _log = get_logger("repro.serve")
 
+#: Largest request body the server reads.  A larger ``Content-Length``
+#: claim is answered 413 before any of the body is read, so a hostile
+#: claim can neither pre-allocate memory nor park a worker on a read.
+MAX_BODY_BYTES = 1 << 20
+
+
+class BodyTooLarge(SchemaError):
+    """A ``Content-Length`` claim above :data:`MAX_BODY_BYTES` (413)."""
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -1040,6 +1049,13 @@ def _make_handler(app: KSPServer):
                 # connection rather than parse leftovers as a request.
                 self.close_connection = True
                 raise SchemaError("Content-Length must be a non-negative integer")
+            if length > MAX_BODY_BYTES:
+                # The unread body must not be parsed as the next request.
+                self.close_connection = True
+                raise BodyTooLarge(
+                    "Content-Length %d exceeds the %d-byte request body limit"
+                    % (length, MAX_BODY_BYTES)
+                )
             raw = self.rfile.read(length) if length else b""
             if not raw:
                 raise SchemaError("request body is required")
@@ -1084,10 +1100,11 @@ def _make_handler(app: KSPServer):
             try:
                 payload = self._read_json()
             except SchemaError as exc:
+                status = 413 if isinstance(exc, BodyTooLarge) else 400
                 self._send(
-                    400, error_body(str(exc), request_id), request_id=request_id
+                    status, error_body(str(exc), request_id), request_id=request_id
                 )
-                app.metrics.count_request(path, 400)
+                app.metrics.count_request(path, status)
                 return
 
             try:

@@ -27,10 +27,12 @@ The router duck-types :class:`~repro.core.engine.KSPEngine` for the
 serving stack: ``query()``, ``metrics_text()``, ``debug_snapshot()``,
 ``flight_recorder`` and ``manifest_hash`` are all provided, so
 ``KSPServer`` and ``PreForkServer`` serve a shard directory unchanged
-(``repro serve --shard-dir``).  Execution is an in-process thread pool
-by default; with ``shard_urls`` each shard is instead queried over
-HTTP (one PreFork fleet per shard), while routing bounds still come
-from the locally mmap'd snapshots.
+(``repro serve --shard-dir``).  In process, shards run one at a time
+on the caller's thread in ascending routing-bound order, so each one is
+re-tested against the theta its predecessors built; with ``shard_urls``
+each shard is instead queried over HTTP (one PreFork fleet per shard),
+concurrently, while routing bounds still come from the locally mmap'd
+snapshots.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -87,6 +89,14 @@ _MERGED_COUNTERS = (
 )
 
 
+#: Per-shard counter series and their help texts.
+_SHARD_COUNTERS = {
+    "ksp_shard_fanout_total": "shard subqueries actually executed",
+    "ksp_shard_pruned_total": "shard subqueries skipped by the routing bound",
+    "ksp_shard_timeouts_total": "shard subqueries lost to deadline or failure",
+}
+
+
 def _ranking_wire(ranking: RankingFunction) -> Any:
     """Serialize a ranking for the ``/v1/query`` wire (HTTP executor)."""
     if isinstance(ranking, WeightedSumRanking):
@@ -114,11 +124,12 @@ class ShardRouter:
         When given, shard execution POSTs ``/v1/query`` to the shard's
         fleet instead of running in-process; routing bounds still come
         from the local snapshots.
-    parallelism:
-        Concurrent shard executions per query (default: all shards).
-        With 1, shards run in ascending bound order and later shards
-        see the theta accumulated by earlier ones — maximum pruning,
-        no fan-out parallelism.
+
+    In-process shards run one at a time, best bound first: they share
+    one interpreter lock, and the bound prunes only once theta exists.
+    HTTP shards wait on the network, so they are dispatched together.
+    ``parallelism`` (read-only) is 1 in process, the shard count over
+    HTTP.
     """
 
     def __init__(
@@ -126,7 +137,6 @@ class ShardRouter:
         shard_dir: Union[str, Path],
         config: Optional[EngineConfig] = None,
         shard_urls: Optional[Sequence[str]] = None,
-        parallelism: Optional[int] = None,
     ) -> None:
         self.shard_dir = Path(shard_dir)
         self.manifest = load_manifest(self.shard_dir)
@@ -142,9 +152,6 @@ class ShardRouter:
                 % (len(shard_urls), len(self.engines))
             )
         self.shard_urls = list(shard_urls) if shard_urls is not None else None
-        if parallelism is not None and parallelism < 1:
-            raise ValueError("parallelism must be positive")
-        self.parallelism = parallelism or len(self.engines)
         self.flight_recorder = FlightRecorder(self.config.flight_recorder_size)
         self._init_metrics()
         self.manifest_hash = _hash_manifest(
@@ -153,11 +160,11 @@ class ShardRouter:
                 "manifest": self.manifest,
             }
         )
-        # The pool is created lazily and re-created after a fork
-        # (PreFork workers inherit the router but not its threads).
-        self._pool_lock = threading.Lock()
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_pid: Optional[int] = None
+
+    @property
+    def parallelism(self) -> int:
+        """Shard executions in flight at once for one query."""
+        return 1 if self.shard_urls is None else len(self.engines)
 
     # ------------------------------------------------------------------
     # Serving metrics
@@ -178,25 +185,12 @@ class ShardRouter:
         # /v1/metrics exposes them at zero from boot — scrapes must not
         # depend on which pre-forked worker happened to serve a query.
         for index in range(len(self.engines)):
-            self._shard_counter(
-                "ksp_shard_fanout_total",
-                "shard subqueries actually executed",
-                index,
-            )
-            self._shard_counter(
-                "ksp_shard_pruned_total",
-                "shard subqueries skipped by the routing bound",
-                index,
-            )
-            self._shard_counter(
-                "ksp_shard_timeouts_total",
-                "shard subqueries lost to deadline or failure",
-                index,
-            )
+            for name in _SHARD_COUNTERS:
+                self._shard_counter(name, index)
 
-    def _shard_counter(self, name: str, help_text: str, index: int):
+    def _shard_counter(self, name: str, index: int):
         return self.metrics.counter(
-            name, help_text, labels={"shard": str(index)}
+            name, _SHARD_COUNTERS[name], labels={"shard": str(index)}
         )
 
     def metrics_text(self) -> str:
@@ -423,9 +417,23 @@ class ShardRouter:
             recorder.add("shard-routing", time.monotonic() - bound_started)
 
         # Ascending bound order: the most promising shard runs first, so
-        # with bounded parallelism the merged theta tightens before the
-        # long-shot shards are even considered.
+        # the merged theta tightens before the long-shot shards are even
+        # considered.
         plan.sort(key=lambda task: (task["bound"], task["index"]))
+        merged_stats = QueryStats(algorithm="SHARDED-%s" % method.upper())
+
+        def _lose(index: int, record: Dict[str, Any], error: str) -> None:
+            # Degradation, not failure: the shard contributes nothing,
+            # the merged result is flagged partial.
+            record["error"] = error
+            record["timed_out"] = True
+            _log.warning(
+                "shard_failed",
+                shard=index,
+                request_id=options.request_id,
+                error=error,
+            )
+            self._shard_counter("ksp_shard_timeouts_total", index).inc()
 
         def _run(task: Dict[str, Any]) -> None:
             index = task["index"]
@@ -437,32 +445,17 @@ class ShardRouter:
                 if len(top_k) >= query.k and task["bound"] >= top_k.threshold:
                     record["pruned"] = True
                     return
-            self._shard_counter(
-                "ksp_shard_fanout_total",
-                "shard subqueries actually executed",
-                index,
-            ).inc()
+            if deadline is not None and deadline.expired():
+                _lose(index, record, error="deadline exhausted before dispatch")
+                return
+            self._shard_counter("ksp_shard_fanout_total", index).inc()
             shard_started = time.monotonic()
             try:
                 result, trace_doc = self._execute_shard(
                     index, query, options, method, ranking, deadline
                 )
             except Exception as exc:
-                # Degradation, not failure: the shard contributes
-                # nothing, the merged result is flagged partial.
-                record["error"] = "%s: %s" % (type(exc).__name__, exc)
-                record["timed_out"] = True
-                _log.warning(
-                    "shard_failed",
-                    shard=index,
-                    request_id=options.request_id,
-                    error=record["error"],
-                )
-                self._shard_counter(
-                    "ksp_shard_timeouts_total",
-                    "shard subqueries lost to deadline or failure",
-                    index,
-                ).inc()
+                _lose(index, record, error="%s: %s" % (type(exc).__name__, exc))
                 return
             finally:
                 record["runtime_seconds"] = round(
@@ -470,8 +463,10 @@ class ShardRouter:
                 )
             record["places"] = len(result.places)
             record["timed_out"] = bool(result.stats.timed_out)
-            if trace_doc is not None:
-                with merge_lock:
+            if record["timed_out"]:
+                self._shard_counter("ksp_shard_timeouts_total", index).inc()
+            with merge_lock:
+                if trace_doc is not None:
                     subtraces.append(
                         {
                             "label": "shard-%d" % index,
@@ -485,32 +480,27 @@ class ShardRouter:
                             ),
                         }
                     )
-            if record["timed_out"]:
-                self._shard_counter(
-                    "ksp_shard_timeouts_total",
-                    "shard subqueries lost to deadline or failure",
-                    index,
-                ).inc()
-            with merge_lock:
                 for place in result.places:
                     top_k.consider(place)
                 _merge_counters(merged_stats, result.stats)
 
-        merged_stats = QueryStats(algorithm="SHARDED-%s" % method.upper())
-        pool = self._executor()
-        futures = [pool.submit(_run, task) for task in plan]
-        wait(futures)
-        for future in futures:
-            future.result()  # surface programming errors, if any
+        if self.shard_urls is None:
+            for task in plan:
+                _run(task)
+        else:
+            # HTTP shards wait on sockets, not on the interpreter lock,
+            # so they are dispatched together.  The pool lives for this
+            # call only: nothing outlives a fork.
+            with ThreadPoolExecutor(
+                max_workers=max(1, len(plan)), thread_name_prefix="ksp-shard"
+            ) as pool:
+                for future in [pool.submit(_run, task) for task in plan]:
+                    future.result()  # surface programming errors, if any
 
         for task in plan:
             record = task["record"]
             if record["pruned"]:
-                self._shard_counter(
-                    "ksp_shard_pruned_total",
-                    "shard subqueries skipped by the routing bound",
-                    task["index"],
-                ).inc()
+                self._shard_counter("ksp_shard_pruned_total", task["index"]).inc()
             if recorder is not None and not record["pruned"]:
                 recorder.add(
                     "shard-%d" % task["index"], record["runtime_seconds"]
@@ -664,19 +654,6 @@ class ShardRouter:
             ]
         if stats.timed_out:
             self._metric_timeouts.inc()
-
-    def _executor(self) -> ThreadPoolExecutor:
-        """The shard fan-out pool, re-created after a fork (threads do
-        not survive ``os.fork``; PreFork workers inherit the router)."""
-        pid = os.getpid()
-        with self._pool_lock:
-            if self._pool is None or self._pool_pid != pid:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=max(1, self.parallelism),
-                    thread_name_prefix="ksp-shard",
-                )
-                self._pool_pid = pid
-            return self._pool
 
 
 def _sub_request_id(request_id: Optional[str], index: int) -> Optional[str]:

@@ -403,6 +403,31 @@ class TestProtocol:
         assert head.startswith(b"HTTP/1.1 400 "), reply
         assert "Content-Length" in json.loads(body)["error"]
 
+    @pytest.mark.parametrize(
+        "length", [2 << 20, 2 << 30, 50 << 30], ids=["2MiB", "2GiB", "50GiB"]
+    )
+    def test_oversized_content_length_413(self, server, length):
+        """A Content-Length claim above the body limit is answered 413 and
+        the connection closed before any body byte is read — no
+        pre-allocation of the claimed size, no worker parked on a read."""
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10.0) as sock:
+            sock.sendall(
+                b"POST /v1/query HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n" % length
+            )
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 "), reply
+        error = json.loads(body)
+        assert "Content-Length" in error["error"]
+        assert error["request_id"]
+
     def test_schema_violations_400(self, server):
         for bad in (
             {"keywords": ["a"]},  # no location

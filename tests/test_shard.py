@@ -5,7 +5,10 @@ degraded partial results, and the HTTP per-shard-fleet executor."""
 from __future__ import annotations
 
 import json
+import math
 import random
+import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -45,6 +48,30 @@ def _bbox(graph):
 
 def _signature(result):
     return [(p.root, p.score, p.looseness) for p in result.places]
+
+
+def _agreement_sweep(graph, trials=12):
+    """The randomized ``(location, keywords, k, method)`` agreement sweep."""
+    terms = _place_terms(graph)
+    min_x, min_y, max_x, max_y = _bbox(graph)
+    rng = random.Random(13)
+    for _ in range(trials):
+        location = (
+            rng.uniform(min_x, max_x),
+            rng.uniform(min_y, max_y),
+        )
+        keywords = rng.sample(terms, rng.choice((1, 2, 3)))
+        k = rng.choice((1, 3, 5, 8))
+        method = rng.choice(("sp", "ta"))
+        yield location, keywords, k, method
+
+
+def _plan_order(records):
+    """Shard records in the router's dispatch order: ascending bound."""
+    return sorted(
+        records,
+        key=lambda s: (math.inf if s["bound"] is None else s["bound"], s["shard"]),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -143,17 +170,9 @@ class TestBuild:
 class TestAgreement:
     def test_randomized_sharded_equals_unsharded(self, shard_setup):
         graph, single, router, _, _ = shard_setup
-        terms = _place_terms(graph)
-        min_x, min_y, max_x, max_y = _bbox(graph)
-        rng = random.Random(13)
-        for trial in range(12):
-            location = (
-                rng.uniform(min_x, max_x),
-                rng.uniform(min_y, max_y),
-            )
-            keywords = rng.sample(terms, rng.choice((1, 2, 3)))
-            k = rng.choice((1, 3, 5, 8))
-            method = rng.choice(("sp", "ta"))
+        for trial, (location, keywords, k, method) in enumerate(
+            _agreement_sweep(graph)
+        ):
             expected = single.query(location, keywords, k=k, method=method)
             merged = router.query(location, keywords, k=k, method=method)
             assert _signature(merged) == _signature(expected), (
@@ -207,9 +226,8 @@ class TestAgreement:
 
 
 class TestRouting:
-    def test_serial_router_prunes_far_shards(self, shard_setup):
-        graph, single, router, directory, _ = shard_setup
-        serial = ShardRouter(directory, EngineConfig(alpha=3), parallelism=1)
+    def test_router_prunes_far_shards(self, shard_setup):
+        graph, single, router, _, _ = shard_setup
         # A query sitting exactly on a place that covers its own keyword:
         # the best score is ~0, so every other shard's root bound beats
         # theta and is pruned without executing.
@@ -221,7 +239,7 @@ class TestRouting:
                 break
         assert target is not None
         vertex, point, term = target
-        result = serial.query((point.x, point.y), [term], k=1, method="sp")
+        result = router.query((point.x, point.y), [term], k=1, method="sp")
         expected = single.query((point.x, point.y), [term], k=1, method="sp")
         assert _signature(result) == _signature(expected)
         executed = [s for s in result.stats.shards if not s["pruned"]]
@@ -230,6 +248,65 @@ class TestRouting:
         assert len(pruned) == 2
         for shard in pruned:
             assert shard["places"] == 0
+
+    def test_executed_shards_are_a_prefix_of_the_bound_order(self, shard_setup):
+        """Shards run best bound first, each re-tested against the theta
+        of the ones before it: once one is pruned every later one is too,
+        and no pruned shard could have beaten the final theta."""
+        graph, _, router, _, _ = shard_setup
+        for location, keywords, k, method in _agreement_sweep(graph):
+            merged = router.query(location, keywords, k=k, method=method)
+            executed = [not s["pruned"] for s in _plan_order(merged.stats.shards)]
+            assert executed == sorted(executed, reverse=True), merged.stats.shards
+            pruned = [s for s in merged.stats.shards if s["pruned"]]
+            if pruned:
+                assert len(merged.places) == k
+                theta = merged.places[-1].score
+                for shard in pruned:
+                    assert shard["bound"] is None or shard["bound"] >= theta - 1e-9
+
+    def test_routing_decisions_repeat_exactly(self, shard_setup):
+        graph, _, router, _, _ = shard_setup
+        for location, keywords, k, method in _agreement_sweep(graph):
+            first, second = (
+                router.query(location, keywords, k=k, method=method)
+                for _ in range(2)
+            )
+            assert [(s["pruned"], s["places"]) for s in first.stats.shards] == [
+                (s["pruned"], s["places"]) for s in second.stats.shards
+            ]
+
+    def test_sharded_work_stays_near_single_engine(self, shard_setup):
+        """With the TQSP cache off, the merged work is exactly the work of
+        the executed shards, and over the sweep it stays within 1.65x of
+        the single engine's.  The excess left is each executed shard
+        filling its own top-k before the merge sees it (1.63x here)."""
+        graph, _, _, directory, _ = shard_setup
+        config = EngineConfig(alpha=3, tqsp_cache_size=0)
+        single = KSPEngine(graph, config)
+        router = ShardRouter(directory, config)
+        single_work = router_work = 0
+        for location, keywords, k, method in _agreement_sweep(graph):
+            single_work += single.query(
+                location, keywords, k=k, method=method
+            ).stats.tqsp_computations
+            merged = router.query(location, keywords, k=k, method=method)
+            router_work += merged.stats.tqsp_computations
+            assert merged.stats.tqsp_computations == sum(
+                router.engines[s["shard"]]
+                .query(location, keywords, k=k, method=method)
+                .stats.tqsp_computations
+                for s in merged.stats.shards
+                if not s["pruned"]
+            )
+        assert single_work > 0
+        assert router_work <= 1.65 * single_work, (router_work, single_work)
+
+    def test_parallelism_is_read_only(self, shard_setup):
+        _, _, router, _, _ = shard_setup
+        assert router.parallelism == 1
+        with pytest.raises(AttributeError):
+            router.parallelism = 4
 
     def test_fanout_and_prune_counters_exported(self, shard_setup):
         _, _, router, _, _ = shard_setup
@@ -252,23 +329,101 @@ class TestRouting:
 
 
 class _TimedOutShard:
-    """Stub engine: contributes a partial answer and a timeout flag."""
+    """Stub engine: contributes a partial answer and a timeout flag,
+    after sleeping ``delay`` seconds."""
 
-    def __init__(self, engine, keep=1):
+    def __init__(self, engine, keep=1, delay=0.0):
         self._engine = engine
         self._keep = keep
+        self._delay = delay
 
     def __getattr__(self, name):
         return getattr(self._engine, name)
 
     def query(self, *args, **kwargs):
+        time.sleep(self._delay)
         result = self._engine.query(*args, **kwargs)
         result.places = result.places[: self._keep]
         result.stats.timed_out = True
         return result
 
 
+class _CountingShard:
+    """Stub engine: counts the queries it is asked to run."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def query(self, *args, **kwargs):
+        self.calls += 1
+        return self._engine.query(*args, **kwargs)
+
+
 class TestDegradation:
+    def test_expired_deadline_skips_later_shards(self, shard_setup):
+        """A shard whose turn comes after the deadline is not run: it is
+        flagged like an unreachable HTTP shard, and the router overshoots
+        the budget by one shard, not by every shard in turn."""
+        graph, _, _, directory, _ = shard_setup
+        router = ShardRouter(directory, EngineConfig(alpha=3))
+        # The first shard in bound order is the one whose region holds
+        # the query point; it sleeps past the whole budget.
+        first = 0
+        min_x, min_y, max_x, max_y = router.manifest["entries"][first]["region"]
+        location = ((min_x + max_x) / 2.0, (min_y + max_y) / 2.0)
+        timeout, overshoot = 0.2, 0.3
+        router.engines = [
+            _TimedOutShard(engine, keep=0, delay=timeout + overshoot)
+            if index == first
+            else _CountingShard(engine)
+            for index, engine in enumerate(router.engines)
+        ]
+        terms = _place_terms(graph)
+        started = time.monotonic()
+        merged = router.query(location, terms[:2], k=4, method="sp", timeout=timeout)
+        elapsed = time.monotonic() - started
+
+        assert elapsed <= timeout + overshoot + 0.25, elapsed
+        assert merged.stats.timed_out is True
+        assert merged.incomplete
+        assert _plan_order(merged.stats.shards)[0]["shard"] == first
+        assert merged.stats.shards[first]["timed_out"] is True
+        later = [s for s in merged.stats.shards if s["shard"] != first]
+        for shard in later:
+            assert router.engines[shard["shard"]].calls == 0
+            assert shard["pruned"] is False
+            assert shard["timed_out"] is True
+            assert shard["error"] == "deadline exhausted before dispatch"
+            assert shard["places"] == 0
+
+        # Served, the same degradation is a 504 carrying the partial body.
+        from repro.serve.server import KSPServer, ServeConfig
+
+        server = KSPServer(engine=router, config=ServeConfig(port=0)).start()
+        try:
+            body = {
+                "location": list(location),
+                "keywords": terms[:2],
+                "k": 4,
+                "method": "sp",
+                "timeout": timeout,
+            }
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                _post_query(server.url, body)
+            assert caught.value.code == 504
+            wire = json.loads(caught.value.read().decode("utf-8"))
+        finally:
+            server.stop()
+        assert wire["timed_out"] is True
+        assert "places" in wire
+        assert [s["error"] for s in wire["stats"]["shards"] if s["shard"] != first] == [
+            "deadline exhausted before dispatch"
+        ] * len(later)
+
     def test_injected_shard_timeout_partial_dominates(
         self, shard_setup, tmp_path_factory
     ):

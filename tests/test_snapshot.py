@@ -6,12 +6,17 @@ wrote it — same manifest hash, same golden wire bytes, same answers on
 every method — while serving from ``memoryview``s over one mmap.
 """
 
+import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.config import EngineConfig
 from repro.core.engine import KSPEngine
 from repro.datagen.paper_example import EXAMPLE_KEYWORDS, Q1, build_example_graph
@@ -317,3 +322,32 @@ class TestZeroCopy:
             assert "manifest" in snapshot.names()
             assert snapshot.manifest["snapshot"]["page_size"] == 4096
             assert snapshot.manifest["engine"]["alpha"] == 3
+
+
+_BUILD_SCRIPT = """
+import sys
+from repro.core.config import EngineConfig
+from repro.core.engine import KSPEngine
+from repro.datagen.profiles import TINY_YAGO
+from repro.datagen.synthetic import generate_graph
+KSPEngine(generate_graph(TINY_YAGO), EngineConfig(alpha=3)).save_snapshot(sys.argv[1])
+"""
+
+
+class TestReproducible:
+    def test_snapshot_bytes_independent_of_hash_seed(self, tmp_path):
+        """The same corpus must freeze to the same file under any
+        ``PYTHONHASHSEED``: no index may number its entries in set order."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        digests = {}
+        for seed in ("0", "1"):
+            path = tmp_path / ("seed-%s.snap" % seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-c", _BUILD_SCRIPT, str(path)],
+                env=env,
+                check=True,
+                timeout=300,
+            )
+            digests[seed] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests["0"] == digests["1"], digests

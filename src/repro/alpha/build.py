@@ -30,6 +30,13 @@ axis is cut into slabs of :data:`SLAB_TERMS` words and the whole pipeline,
 recurrence included, runs once per slab, so the dense intermediates are
 ``SLAB_TERMS / 2`` bytes per vertex and radius and ``SLAB_TERMS`` bytes per
 place, whatever the vocabulary size.
+
+One recurrence serves several R-trees.  The sets ``R_d[v]`` depend on the
+graph alone, never on which places a tree holds, so :func:`build_postings`
+takes a sequence of trees, runs the recurrence once per slab and gathers,
+aggregates and transposes each tree's rows from it.  The engine passes its
+one tree; a shard build passes one tree per tile, and each tile's sections
+are byte for byte those of a build over that tile alone.
 """
 
 from __future__ import annotations
@@ -72,15 +79,19 @@ def sorted_terms(terms: Iterable[str]) -> List[str]:
 
 
 def build_postings(
-    graph, rtree, alpha: int, undirected: bool = False, csr=None
-) -> Tuple[List[str], Dict[str, Section]]:
-    """The ``"place"`` and ``"node"`` postings sections of ``graph``'s
-    places under ``rtree``, and the vocabulary (:func:`sorted_terms`)
-    whose ranks index their directories.
+    graph, rtrees: Sequence, alpha: int, undirected: bool = False, csr=None
+) -> Tuple[List[str], List[Dict[str, Section]]]:
+    """The vocabulary (:func:`sorted_terms`) of ``graph`` and, for each
+    tree of ``rtrees``, the ``"place"`` and ``"node"`` postings sections of
+    its places and nodes, with directories indexed by vocabulary rank.
 
-    ``csr`` (a :class:`~repro.rdf.csr.CSRAdjacency` of ``graph``) serves
-    the adjacency when present; any object with ``out_neighbors`` /
-    ``in_neighbors`` does otherwise.
+    A tree's places are its leaf keys; the trees may cover any subsets of
+    ``graph``'s vertices.  The recurrence runs once over the whole graph
+    whatever the number of trees, so every tree's rows are the same as a
+    build over that tree alone.  ``csr`` (a
+    :class:`~repro.rdf.csr.CSRAdjacency` of ``graph``) serves the adjacency
+    when present; any object with ``out_neighbors`` / ``in_neighbors`` does
+    otherwise.
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
@@ -100,30 +111,14 @@ def build_postings(
             holders.setdefault(term, []).append(vertex)
     vocabulary = sorted_terms(holders)
 
-    places = sorted(vertex for vertex, _ in graph.places())
-    place_row = {vertex: row for row, vertex in enumerate(places)}
-    # Children before parents; a node's members are rows of the place
-    # planes (leaf) or of the node planes (inner).
-    ordered = [node for level in reversed(rtree.levels()) for node in level]
-    node_ids = sorted(node.node_id for node in ordered)
-    node_row = {node_id: row for row, node_id in enumerate(node_ids)}
-    aggregation = [
-        (
-            node_row[node.node_id],
-            node.is_leaf,
-            [place_row[entry.key] for entry in node.entries if entry.key in place_row]
-            if node.is_leaf
-            else [node_row[child.node_id] for child in node.entries],
-        )
-        for node in ordered
+    layouts = [_TreeLayout(rtree) for rtree in rtrees]
+    sections: List[Dict[str, Section]] = [
+        {
+            kind: (bytearray(DIRECTORY_ENTRY.size * len(vocabulary)), bytearray())
+            for kind in KINDS
+        }
+        for _ in layouts
     ]
-
-    place_records = [_RECORD.pack(vertex, 0) for vertex in places]
-    node_records = [_RECORD.pack(node_id, 0) for node_id in node_ids]
-    sections: Dict[str, Section] = {
-        kind: (bytearray(DIRECTORY_ENTRY.size * len(vocabulary)), bytearray())
-        for kind in KINDS
-    }
     for first in range(0, len(vocabulary), SLAB_TERMS):
         terms = vocabulary[first : first + SLAB_TERMS]
         reach = [0] * vertex_count
@@ -131,7 +126,8 @@ def build_postings(
             mask = 1 << (4 * digit)
             for vertex in holders[term]:
                 reach[vertex] |= mask
-        place_planes = [[reach[vertex] for vertex in places]]
+        place_planes = [[[reach[vertex] for vertex in layout.places]] for layout in layouts]
+        levels = 1
         for _ in range(alpha):
             widened = [
                 reduce(or_, map(reach.__getitem__, neighbors), reach[vertex])
@@ -139,23 +135,58 @@ def build_postings(
             ]
             if widened == reach:
                 break  # every ball has stopped growing
-            if len(place_planes) == _MAX_LEVELS:
+            if levels == _MAX_LEVELS:
                 raise ValueError(
                     "alpha neighborhoods deeper than %d hops are not representable"
                     % (_MAX_LEVELS - 1)
                 )
             reach = widened
-            place_planes.append([reach[vertex] for vertex in places])
-        node_planes = []
-        for place_plane in place_planes:
-            node_plane = [0] * len(node_ids)
-            for row, is_leaf, members in aggregation:
-                source = place_plane if is_leaf else node_plane
-                node_plane[row] = reduce(or_, map(source.__getitem__, members), 0)
-            node_planes.append(node_plane)
-        _transpose(place_planes, place_records, first, len(terms), *sections["place"])
-        _transpose(node_planes, node_records, first, len(terms), *sections["node"])
+            levels += 1
+            for layout, planes in zip(layouts, place_planes):
+                planes.append([reach[vertex] for vertex in layout.places])
+        for layout, planes, tree_sections in zip(layouts, place_planes, sections):
+            node_planes = [layout.aggregate(plane) for plane in planes]
+            _transpose(planes, layout.place_records, first, len(terms), *tree_sections["place"])
+            _transpose(node_planes, layout.node_records, first, len(terms), *tree_sections["node"])
     return vocabulary, sections
+
+
+class _TreeLayout:
+    """The rows of one R-tree's postings: its leaf keys (place rows) and
+    its node ids (node rows), each in id order, and the node aggregation
+    (Definition 6) over them."""
+
+    def __init__(self, rtree) -> None:
+        # Children before parents; a node's members are rows of the place
+        # planes (leaf) or of the node planes (inner).
+        ordered = [node for level in reversed(rtree.levels()) for node in level]
+        self.places = sorted(
+            entry.key for node in ordered if node.is_leaf for entry in node.entries
+        )
+        place_row = {vertex: row for row, vertex in enumerate(self.places)}
+        node_ids = sorted(node.node_id for node in ordered)
+        node_row = {node_id: row for row, node_id in enumerate(node_ids)}
+        self._aggregation = [
+            (
+                node_row[node.node_id],
+                node.is_leaf,
+                [place_row[entry.key] for entry in node.entries]
+                if node.is_leaf
+                else [node_row[child.node_id] for child in node.entries],
+            )
+            for node in ordered
+        ]
+        self.place_records = [_RECORD.pack(vertex, 0) for vertex in self.places]
+        self.node_records = [_RECORD.pack(node_id, 0) for node_id in node_ids]
+
+    def aggregate(self, place_plane: Sequence[int]) -> List[int]:
+        """The node plane of one radius: each node's row is the OR of its
+        members' rows."""
+        node_plane = [0] * len(self.node_records)
+        for row, is_leaf, members in self._aggregation:
+            source = place_plane if is_leaf else node_plane
+            node_plane[row] = reduce(or_, map(source.__getitem__, members), 0)
+        return node_plane
 
 
 def _transpose(

@@ -54,7 +54,7 @@ class AlphaIndex:
         """``csr`` (a :class:`~repro.rdf.csr.CSRAdjacency` snapshot of
         ``graph``) serves the construction pass its adjacency from flat
         arrays; omit it to read ``graph``'s own neighbor lists."""
-        vocabulary, sections = build_postings(graph, rtree, alpha, undirected, csr)
+        vocabulary, (sections,) = build_postings(graph, [rtree], alpha, undirected, csr)
         self._adopt(alpha, undirected, vocabulary, sections)
 
     @classmethod

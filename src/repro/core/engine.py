@@ -37,6 +37,7 @@ from repro.rdf.terms import Triple
 from repro.reach.keyword import KeywordReachabilityIndex
 from repro.spatial.geometry import Point
 from repro.spatial.rtree import RTree
+from repro.storage.snapshot import engine_manifest
 from repro.text.inverted import InvertedIndex
 
 ALGORITHMS = ("bsp", "spp", "sp", "ta")
@@ -331,17 +332,14 @@ class KSPEngine:
         produce the same dict, so ``manifest_hash`` identifies the index
         snapshot regardless of how the engine came to be.
         """
-        return {
-            "format": 1,
-            "alpha": self.alpha,
-            "undirected": self.undirected,
-            "rtree_max_entries": self.rtree_max_entries,
-            "vertices": self.graph.vertex_count,
-            "edges": self.graph.edge_count,
-            "places": self.graph.place_count(),
-            "has_reachability": self.reachability is not None,
-            "has_alpha_index": self.alpha_index is not None,
-        }
+        return engine_manifest(
+            self.graph,
+            alpha=self.alpha,
+            undirected=self.undirected,
+            rtree_max_entries=self.rtree_max_entries,
+            has_reachability=self.reachability is not None,
+            has_alpha_index=self.alpha_index is not None,
+        )
 
     def save_snapshot(self, path) -> int:
         """Write every query-time index into one immutable, page-aligned

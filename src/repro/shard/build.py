@@ -1,31 +1,45 @@
 """Freeze a corpus into N per-shard snapshots plus a shard manifest.
 
-Each shard is an ordinary PR-6 ``RSNP1`` snapshot of the *full* graph
-with only its tile's places visible: :class:`PlaceMaskedGraph` hides
-every other place's location, so the snapshot writer derives exactly
-the tile's place set while the vertices, edges, documents and keyword
+Each shard is an ordinary ``RSNP1`` snapshot of the *full* graph with
+only its tile's places visible: :class:`PlaceMaskedGraph` hides every
+other place's location, so the snapshot writer derives exactly the
+tile's place set while the vertices, edges, documents and keyword
 reachability stay whole.  That is the invariant the agreement proof
 needs — a shard computes the same TQSP looseness for its places as the
 single engine would (BFS runs over the identical graph), so per-shard
 scores are globally comparable and the merged top-k is exact.
 
-The cost is deliberate: every shard snapshot carries a full copy of
-the graph sections (disk is ~N x the single snapshot), buying
-zero-coordination shard processes that never page each other's
-R-tree or alpha postings.
+Only the R-tree and the alpha rows depend on the tile, so the build
+does the graph-wide work once: one inverted file, one keyword
+reachability index and one alpha recurrence over the whole graph
+(:func:`~repro.alpha.build.build_postings` with one R-tree per tile),
+then one snapshot write per tile.  Each shard file is byte for byte the
+snapshot of a ``KSPEngine`` built over that tile's
+:class:`PlaceMaskedGraph`.  Every shard file still carries a full copy
+of the graph sections (disk is ~N x the single snapshot), buying
+zero-coordination shard processes that never page each other's R-tree
+or alpha postings.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 
+from repro.alpha.build import build_postings
+from repro.alpha.index import AlphaIndex
 from repro.core.config import EngineConfig
-from repro.core.engine import KSPEngine
+from repro.core.engine import _hash_manifest
+from repro.rdf.csr import CSRAdjacency
 from repro.rdf.graph import RDFGraph
+from repro.reach.keyword import KeywordReachabilityIndex
 from repro.shard.partition import str_partition, tile_region
 from repro.spatial.geometry import Point
+from repro.spatial.rtree import RTree
+from repro.storage.snapshot import engine_manifest, write_snapshot
+from repro.text.inverted import InvertedIndex
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = 1
@@ -87,12 +101,52 @@ def build_shards(
         raise ValueError("cannot shard a graph with no places")
     tiles = str_partition(places, shards)
 
+    views = [PlaceMaskedGraph(graph, (vertex for vertex, _ in tile)) for tile in tiles]
+    rtrees = [
+        RTree.bulk_load(view.places(), max_entries=config.rtree_max_entries)
+        for view in views
+    ]
+    inverted = InvertedIndex.build(graph)
+    reachability = None
+    if config.build_reachability:
+        reachability = KeywordReachabilityIndex(
+            graph, method=config.reach_method, undirected=config.undirected
+        )
+    alpha_indexes = [None] * len(tiles)
+    if config.build_alpha:
+        vocabulary, sections = build_postings(
+            graph, rtrees, config.alpha, config.undirected, CSRAdjacency.from_graph(graph)
+        )
+        alpha_indexes = [
+            AlphaIndex.from_sections(config.alpha, config.undirected, vocabulary, tile_sections)
+            for tile_sections in sections
+        ]
+
+    settings = {
+        "alpha": config.alpha,
+        "undirected": config.undirected,
+        "rtree_max_entries": config.rtree_max_entries,
+    }
     entries = []
-    for index, tile in enumerate(tiles):
-        masked = PlaceMaskedGraph(graph, (vertex for vertex, _ in tile))
-        engine = KSPEngine(masked, config)
+    for index, (tile, view, rtree, alpha_index) in enumerate(
+        zip(tiles, views, rtrees, alpha_indexes)
+    ):
         filename = SHARD_PATTERN % index
-        size = engine.save_snapshot(directory / filename)
+        size = write_snapshot(
+            directory / filename,
+            view,
+            inverted,
+            rtree,
+            reachability=reachability,
+            alpha_index=alpha_index,
+            **settings,
+        )
+        identity = engine_manifest(
+            view,
+            has_reachability=reachability is not None,
+            has_alpha_index=alpha_index is not None,
+            **settings,
+        )
         entries.append(
             {
                 "index": index,
@@ -100,27 +154,32 @@ def build_shards(
                 "places": len(tile),
                 "bytes": size,
                 "region": tile_region(tile),
-                "manifest_hash": engine.manifest_hash,
+                "manifest_hash": _hash_manifest(identity),
             }
         )
 
     manifest = {
         "format": MANIFEST_FORMAT,
         "shards": len(tiles),
-        "alpha": config.alpha,
-        "undirected": config.undirected,
-        "rtree_max_entries": config.rtree_max_entries,
         "source": {
             "vertices": graph.vertex_count,
             "edges": graph.edge_count,
             "places": len(places),
         },
         "entries": entries,
+        **settings,
     }
+    # Written last and published by rename: a directory whose manifest
+    # exists holds every shard file it names.
     manifest_path = directory / MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    staging = manifest_path.with_name(MANIFEST_NAME + ".tmp-%d" % os.getpid())
+    try:
+        staging.write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        os.replace(staging, manifest_path)
+    finally:
+        staging.unlink(missing_ok=True)
     return manifest
 
 

@@ -63,7 +63,7 @@ from repro.core.trace import QueryTrace
 from repro.obs.log import get_logger
 from repro.obs.recorder import FlightRecorder
 from repro.obs.traceexport import make_traceparent, span_id_for, trace_events
-from repro.shard.build import load_manifest
+from repro.shard.build import MANIFEST_NAME, load_manifest
 from repro.spatial.geometry import Point
 
 _log = get_logger("repro.shard.router")
@@ -102,6 +102,46 @@ def _ranking_wire(ranking: RankingFunction) -> Any:
     if isinstance(ranking, WeightedSumRanking):
         return {"kind": "sum", "beta": ranking.beta}
     return "product"
+
+
+def _check_shard(manifest: Dict[str, Any], entry: Dict[str, Any], engine: KSPEngine) -> None:
+    """Refuse a shard snapshot that is not the one the manifest names.
+
+    The manifest hash alone cannot tell sibling shards apart (it covers
+    build settings and graph counts, the same for every tile of one
+    build), so the place count and the R-tree root rectangle pin the
+    tile, and the build settings pin the configuration.
+    """
+    rect = engine.rtree.root.rect
+    found = {
+        "manifest_hash": engine.manifest_hash,
+        "places": engine.graph.place_count(),
+        "region": None if rect is None else [rect.min_x, rect.min_y, rect.max_x, rect.max_y],
+        "alpha": engine.alpha,
+        "undirected": engine.undirected,
+        "rtree_max_entries": engine.rtree_max_entries,
+    }
+    expected = {
+        "manifest_hash": entry["manifest_hash"],
+        "places": entry["places"],
+        "region": entry["region"],
+        "alpha": manifest["alpha"],
+        "undirected": manifest["undirected"],
+        "rtree_max_entries": manifest["rtree_max_entries"],
+    }
+    wrong = [field for field in expected if found[field] != expected[field]]
+    if wrong:
+        raise ValueError(
+            "shard snapshot %s does not match %s: %s"
+            % (
+                entry["snapshot"],
+                MANIFEST_NAME,
+                ", ".join(
+                    "%s is %r, expected %r" % (field, found[field], expected[field])
+                    for field in wrong
+                ),
+            )
+        )
 
 
 class ShardUnavailable(Exception):
@@ -145,6 +185,8 @@ class ShardRouter:
             KSPEngine.from_snapshot(self.shard_dir / entry["snapshot"], base_config)
             for entry in self.manifest["entries"]
         ]
+        for entry, engine in zip(self.manifest["entries"], self.engines):
+            _check_shard(self.manifest, entry, engine)
         self.config = self.engines[0].config
         if shard_urls is not None and len(shard_urls) != len(self.engines):
             raise ValueError(

@@ -218,6 +218,31 @@ def _label_csr_sections(labels) -> Tuple[bytes, bytes]:
     return offsets.tobytes(), values.tobytes()
 
 
+def engine_manifest(
+    graph,
+    *,
+    alpha: int,
+    undirected: bool,
+    rtree_max_entries: int,
+    has_reachability: bool,
+    has_alpha_index: bool,
+) -> Dict[str, Any]:
+    """The ``engine`` part of a snapshot's manifest, which is also the
+    input of an engine's ``manifest_hash``: the build settings and the
+    graph counts of the indexes over ``graph``."""
+    return {
+        "format": 1,
+        "alpha": alpha,
+        "undirected": undirected,
+        "rtree_max_entries": rtree_max_entries,
+        "vertices": graph.vertex_count,
+        "edges": graph.edge_count,
+        "places": graph.place_count(),
+        "has_reachability": has_reachability,
+        "has_alpha_index": has_alpha_index,
+    }
+
+
 def write_snapshot(
     path: Union[str, Path],
     graph,
@@ -296,17 +321,14 @@ def write_snapshot(
         inverted_blob += blob
 
     manifest: Dict[str, Any] = {
-        "engine": {
-            "format": 1,
-            "alpha": alpha,
-            "undirected": undirected,
-            "rtree_max_entries": rtree_max_entries,
-            "vertices": vertex_count,
-            "edges": graph.edge_count,
-            "places": graph.place_count(),
-            "has_reachability": reachability is not None,
-            "has_alpha_index": alpha_index is not None,
-        },
+        "engine": engine_manifest(
+            graph,
+            alpha=alpha,
+            undirected=undirected,
+            rtree_max_entries=rtree_max_entries,
+            has_reachability=reachability is not None,
+            has_alpha_index=alpha_index is not None,
+        ),
         "snapshot": {
             "page_size": PAGE_SIZE,
             "vocab_size": len(vocabulary),

@@ -5,7 +5,9 @@
 are the reference; every place's and every node's decoded postings of a
 built :class:`AlphaIndex` must equal them — on graphs with cycles, sinks,
 isolated places, empty documents, no places or no words at all, for both
-adjacency sources and across the slab seam.
+adjacency sources and across the slab seam.  One build over several
+trees (the shard build) must give each tree the sections of a build over
+that tree alone.
 """
 
 from unittest import mock
@@ -112,6 +114,49 @@ class TestAgainstDefinition:
         for term, entries in expected["place"].items():
             for place, distance in entries.items():
                 assert index.place_neighborhood_distance(place, term) == distance
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        graph=graphs(),
+        alpha=st.integers(min_value=0, max_value=4),
+        undirected=st.booleans(),
+        parts=st.integers(min_value=1, max_value=4),
+        slab_terms=st.sampled_from([1, 2, 3, build.SLAB_TERMS]),
+        max_entries=st.integers(min_value=4, max_value=6),
+        data=st.data(),
+    )
+    def test_one_call_over_several_trees_equals_one_call_per_tree(
+        self, graph, alpha, undirected, parts, slab_terms, max_entries, data
+    ):
+        places = [place for place, _ in graph.places()]
+        owners = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=parts - 1),
+                min_size=len(places),
+                max_size=len(places),
+            )
+        )
+        views = [
+            PlaceMaskedGraph(
+                graph, [place for place, owner in zip(places, owners) if owner == part]
+            )
+            for part in range(parts)
+        ]
+        rtrees = [RTree.bulk_load(view.places(), max_entries=max_entries) for view in views]
+        with mock.patch.object(build, "SLAB_TERMS", slab_terms):
+            vocabulary, sections = build.build_postings(graph, rtrees, alpha, undirected)
+            assert len(sections) == parts
+            for view, rtree, tree_sections in zip(views, rtrees, sections):
+                alone_vocabulary, (alone,) = build.build_postings(
+                    view, [rtree], alpha, undirected
+                )
+                assert alone_vocabulary == vocabulary
+                for kind in KINDS:
+                    assert tree_sections[kind] == alone[kind], kind
+                index = AlphaIndex.from_sections(alpha, undirected, vocabulary, tree_sections)
+                assert decoded_postings(index) == reference_postings(
+                    view, rtree, alpha, undirected
+                )
 
     @pytest.mark.parametrize("alpha", [-1, -7])
     def test_negative_alpha_raises(self, example_graph, alpha):

@@ -4,9 +4,11 @@ degraded partial results, and the HTTP per-shard-fleet executor."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
+import shutil
 import time
 import urllib.error
 import urllib.request
@@ -26,8 +28,13 @@ from repro.shard import (
     build_shards,
     load_manifest,
     str_partition,
+    tile_region,
 )
 from repro.spatial.geometry import Point
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _place_terms(graph, limit=200):
@@ -161,6 +168,92 @@ class TestBuild:
     def test_missing_manifest_is_a_clear_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_manifest(tmp_path)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EngineConfig(),
+            EngineConfig(alpha=2, undirected=True),
+            EngineConfig(rtree_max_entries=8),
+            EngineConfig(build_reachability=False),
+            EngineConfig(build_alpha=False),
+        ],
+        ids=["default", "alpha2-undirected", "fanout8", "no-reach", "no-alpha"],
+    )
+    def test_files_equal_per_tile_engine_snapshots(self, tmp_path, tiny_yago_graph, config):
+        """One shared build writes the bytes a whole engine per tile would."""
+        graph = tiny_yago_graph
+        manifest = build_shards(graph, tmp_path / "shards", 3, config=config)
+
+        reference = tmp_path / "reference"
+        reference.mkdir()
+        entries = []
+        for index, tile in enumerate(str_partition(list(graph.places()), 3)):
+            engine = KSPEngine(PlaceMaskedGraph(graph, (v for v, _ in tile)), config)
+            name = "shard-%04d.snap" % index
+            entries.append(
+                {
+                    "index": index,
+                    "snapshot": name,
+                    "places": len(tile),
+                    "bytes": engine.save_snapshot(reference / name),
+                    "region": tile_region(tile),
+                    "manifest_hash": engine.manifest_hash,
+                }
+            )
+        assert manifest == {
+            "format": 1,
+            "shards": 3,
+            "alpha": config.alpha,
+            "undirected": config.undirected,
+            "rtree_max_entries": config.rtree_max_entries,
+            "source": {
+                "vertices": graph.vertex_count,
+                "edges": graph.edge_count,
+                "places": graph.place_count(),
+            },
+            "entries": entries,
+        }
+        assert load_manifest(tmp_path / "shards") == manifest
+        for entry in entries:
+            name = entry["snapshot"]
+            assert _sha256(tmp_path / "shards" / name) == _sha256(reference / name), name
+        assert sorted(path.name for path in (tmp_path / "shards").iterdir()) == sorted(
+            [entry["snapshot"] for entry in entries] + ["manifest.json"]
+        )
+
+
+class TestRouterOpen:
+    """A shard directory whose files disagree with its manifest is refused."""
+
+    @pytest.fixture(scope="class")
+    def builds(self, tmp_path_factory):
+        def build(seed, alpha):
+            graph = generate_graph(TINY_YAGO.scaled(600).with_seed(seed))
+            directory = tmp_path_factory.mktemp("open-%d-a%d" % (seed, alpha))
+            build_shards(graph, directory, 3, config=EngineConfig(alpha=alpha))
+            return directory
+
+        return {"base": build(23, 3), "foreign": build(29, 3), "alpha": build(23, 2)}
+
+    @pytest.mark.parametrize(
+        "source, name",
+        [
+            ("foreign", "shard-0001.snap"),  # the same tile of another corpus
+            ("alpha", "shard-0001.snap"),  # the same tile built with alpha=2
+            ("base", "shard-0002.snap"),  # a sibling copied over shard 1
+        ],
+        ids=["foreign-corpus", "alpha-swap", "sibling-swap"],
+    )
+    def test_refuses_a_shard_the_manifest_does_not_name(
+        self, tmp_path, builds, source, name
+    ):
+        directory = tmp_path / "shards"
+        shutil.copytree(builds["base"], directory)
+        ShardRouter(directory)  # the untouched copy opens
+        shutil.copyfile(builds[source] / name, directory / "shard-0001.snap")
+        with pytest.raises(ValueError, match="shard-0001.snap"):
+            ShardRouter(directory)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import time
 from typing import Optional
 
 from repro.core.deadline import Deadline
-from repro.core.query import KSPQuery, KSPResult
+from repro.core.query import KSPQuery, KSPResult, SemanticPlace
 from repro.core.ranking import DEFAULT_RANKING, RankingFunction
 from repro.core.semantic_place import SearchStatus, SemanticPlaceSearcher
 from repro.core.stats import QueryStats, QueryTimeout
@@ -53,7 +53,7 @@ def bsp_search(
 
     query_map = build_query_map(inverted_index, query.keywords)
     searcher = SemanticPlaceSearcher(graph, undirected=undirected, runtime=runtime)
-    top_k = TopKQueue(query.k)
+    top_k: TopKQueue[SemanticPlace] = TopKQueue(query.k)
     cursor = rtree.nearest(query.location)
 
     try:

@@ -12,6 +12,15 @@ SP differs from SPP in three ways (Section 5):
    the bound also accounts for looseness.
 
 Rules 1 and 2 from SPP still apply to the places that survive.
+
+Each surviving place costs one forward BFS, so a query that retrieves
+many places pops the graph many times over.  Once those searches have
+popped ``|q| * V`` vertices (:func:`field_budget`), SP switches plans: it
+builds one reverse distance field ``d(., t)`` per query keyword
+(:func:`~repro.rdf.csr.csr_distance_field`) and scores every later place
+exactly in ``O(|q|)``.  Places scored that way enter the top-k as
+pending entries; the forward kernel builds the TQSP trees of those still
+there at the end, so the answer is the one the forward plan gives.
 """
 
 from __future__ import annotations
@@ -19,11 +28,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.alpha.index import AlphaIndex
 from repro.core.deadline import Deadline
-from repro.core.query import KSPQuery, KSPResult
+from repro.core.query import KSPQuery, KSPResult, SemanticPlace
 from repro.core.ranking import DEFAULT_RANKING, RankingFunction
 from repro.core.semantic_place import SearchStatus, SemanticPlaceSearcher
 from repro.core.stats import QueryStats, QueryTimeout
@@ -35,10 +44,114 @@ from repro.core.trace import (
     PHASE_TQSP,
     QueryTrace,
 )
+from repro.rdf.csr import FIELD_UNREACHED, CSRAdjacency, csr_distance_field
 from repro.rdf.graph import RDFGraph
 from repro.reach.keyword import KeywordReachabilityIndex
+from repro.spatial.geometry import Point
 from repro.spatial.rtree import LeafEntry, Node, RTree
 from repro.text.inverted import build_query_map, order_rarest_first
+
+
+def field_budget(query: KSPQuery, vertex_count: int) -> int:
+    """Forward-BFS pops after which SP scores places from distance fields.
+
+    Building one field per query keyword visits at most ``|q| * V``
+    vertices, and a field vertex costs no more than a forward pop (both
+    scan one adjacency list).  Switching once the forward searches have
+    popped that many therefore at most doubles the work done so far, and
+    holds a query to about twice the cheaper of the two plans.
+    """
+    return len(query.keywords) * vertex_count
+
+
+class _Pending:
+    """A top-k entry scored from the distance fields; its TQSP tree is
+    built only if it is still in the top-k when the search ends."""
+
+    __slots__ = ("root", "location", "distance", "score", "looseness")
+
+    def __init__(
+        self, root: int, location: Point, distance: float, score: float, looseness: float
+    ) -> None:
+        self.root = root
+        self.location = location
+        self.distance = distance
+        self.score = score
+        self.looseness = looseness
+
+
+def _distance_fields(
+    csr: CSRAdjacency,
+    inverted_index,
+    keywords: Sequence[str],
+    undirected: bool,
+    stats: QueryStats,
+    deadline: Optional[Deadline],
+) -> Optional[List[bytearray]]:
+    """One ``d(., t)`` field per keyword, or None if one overflows."""
+    fields: List[bytearray] = []
+    for term in keywords:
+        field = csr_distance_field(
+            csr,
+            inverted_index.posting(term),
+            undirected=undirected,
+            stats=stats,
+            deadline=deadline,
+        )
+        if field is None:
+            return None
+        fields.append(field)
+    return fields
+
+
+def _materialize(
+    entries: Sequence[Union[SemanticPlace, _Pending]],
+    searcher: SemanticPlaceSearcher,
+    query: KSPQuery,
+    query_map: Mapping[int, frozenset],
+    stats: QueryStats,
+    deadline: Optional[Deadline],
+    trace: Optional[QueryTrace],
+) -> List[SemanticPlace]:
+    """The ranked answer with every pending entry swapped for the place
+    the forward kernel builds (no looseness threshold), so keyword
+    vertices and paths are those a forward-only search reports.
+
+    Pending entries the deadline leaves unbuilt are dropped: the rest is
+    a subsequence of a sound partial answer, so it is sound too.
+    """
+    places: List[SemanticPlace] = []
+    for entry in entries:
+        if isinstance(entry, SemanticPlace):
+            places.append(entry)
+            continue
+        if stats.timed_out:
+            continue
+        semantic_started = time.monotonic()
+        try:
+            search = searcher.tightest(
+                query.keywords, entry.root, query_map, stats=stats, deadline=deadline
+            )
+        except QueryTimeout:
+            stats.timed_out = True
+            continue
+        finally:
+            semantic_elapsed = time.monotonic() - semantic_started
+            stats.semantic_seconds += semantic_elapsed
+            if trace is not None:
+                trace.add(PHASE_TQSP, semantic_elapsed)
+        stats.tqsp_computations += 1
+        if search.looseness != entry.looseness:
+            raise RuntimeError(
+                "place %d: field looseness %r, TQSP looseness %r"
+                % (entry.root, entry.looseness, search.looseness)
+            )
+        places.append(
+            searcher.build_place(
+                query, entry.root, entry.location, entry.distance, entry.score, search
+            )
+        )
+    return places
 
 
 def sp_search(
@@ -81,7 +194,12 @@ def sp_search(
     )
     view = alpha_index.query_view(query.keywords)
     searcher = SemanticPlaceSearcher(graph, undirected=undirected, runtime=runtime)
-    top_k = TopKQueue(query.k)
+    top_k: TopKQueue[Union[SemanticPlace, _Pending]] = TopKQueue(query.k)
+    # The plan switch needs the CSR snapshot and is tried at most once:
+    # ``csr`` goes back to None when it has been.
+    csr = runtime.csr if runtime is not None else None
+    budget = field_budget(query, csr.vertex_count) if csr is not None else 0
+    fields: Optional[List[bytearray]] = None
 
     # Priority queue over R-tree entries keyed by the alpha score bound.
     counter = itertools.count()
@@ -151,6 +269,46 @@ def sp_search(
                 continue
 
             stats.places_retrieved += 1
+            if csr is not None and stats.vertices_visited >= budget:
+                fields_started = time.monotonic()
+                try:
+                    fields = _distance_fields(
+                        csr, inverted_index, query.keywords, undirected, stats, deadline
+                    )
+                finally:
+                    csr = None
+                    fields_elapsed = time.monotonic() - fields_started
+                    stats.semantic_seconds += fields_elapsed
+                    if trace is not None:
+                        trace.add(PHASE_TQSP, fields_elapsed)
+            if fields is not None:
+                hops = [field[item.key] for field in fields]
+                if FIELD_UNREACHED in hops:
+                    # Exact Rule 1: some keyword is out of this place's reach.
+                    if use_rule1:
+                        stats.pruned_rule1 += 1
+                    else:
+                        stats.unqualified_places += 1
+                    continue
+                looseness = 1.0 + sum(hops)
+                # The forward search completes iff looseness < L_w; the
+                # same test keeps both plans' answers identical.
+                if use_rule2 and looseness >= ranking.looseness_threshold(
+                    top_k.threshold, distance
+                ):
+                    stats.pruned_rule2 += 1
+                    continue
+                top_k.consider(
+                    _Pending(
+                        item.key,
+                        item.point,
+                        distance,
+                        ranking.score(looseness, distance),
+                        looseness,
+                    )
+                )
+                continue
+
             traced_reach = trace is not None and use_rule1
             if use_rule1:
                 reach_started = time.monotonic() if traced_reach else 0.0
@@ -201,5 +359,8 @@ def sp_search(
     except QueryTimeout:
         stats.timed_out = True
 
+    places = _materialize(
+        top_k.ranked(), searcher, query, query_map, stats, deadline, trace
+    )
     stats.runtime_seconds = time.monotonic() - started
-    return KSPResult(query=query, places=top_k.ranked(), stats=stats, trace=trace)
+    return KSPResult(query=query, places=places, stats=stats, trace=trace)

@@ -21,7 +21,7 @@ import time
 from typing import Optional, Sequence
 
 from repro.core.deadline import Deadline
-from repro.core.query import KSPQuery, KSPResult
+from repro.core.query import KSPQuery, KSPResult, SemanticPlace
 from repro.core.ranking import DEFAULT_RANKING, RankingFunction
 from repro.core.semantic_place import SearchStatus, SemanticPlaceSearcher
 from repro.core.stats import QueryStats, QueryTimeout
@@ -66,7 +66,7 @@ def spp_search(
         else list(query.keywords)
     )
     searcher = SemanticPlaceSearcher(graph, undirected=undirected, runtime=runtime)
-    top_k = TopKQueue(query.k)
+    top_k: TopKQueue[SemanticPlace] = TopKQueue(query.k)
     cursor = rtree.nearest(query.location)
 
     try:

@@ -29,7 +29,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.deadline import Deadline
-from repro.core.query import KSPQuery, KSPResult
+from repro.core.query import KSPQuery, KSPResult, SemanticPlace
 from repro.core.ranking import DEFAULT_RANKING, RankingFunction
 from repro.core.semantic_place import SearchStatus, SemanticPlaceSearcher
 from repro.core.stats import QueryStats, QueryTimeout
@@ -192,7 +192,7 @@ def ta_search(
 
     query_map = build_query_map(inverted_index, query.keywords)
     searcher = SemanticPlaceSearcher(graph, undirected=undirected, runtime=runtime)
-    top_k = TopKQueue(query.k)
+    top_k: TopKQueue[SemanticPlace] = TopKQueue(query.k)
     looseness_stream = LoosenessStream(
         graph, inverted_index, query.keywords, undirected=undirected,
         deadline=deadline,
@@ -206,7 +206,7 @@ def ta_search(
 
     def consider(place_vertex: int, looseness: float, distance: float) -> None:
         score = ranking.score(looseness, distance)
-        if score >= top_k.threshold:
+        if not top_k.admits(score, place_vertex):
             return
         semantic_started = time.monotonic()
         try:
@@ -255,9 +255,7 @@ def ta_search(
                         seen_places.add(place_vertex)
                         location = graph.location(place_vertex)
                         distance = location.distance_to(query.location)
-                        score = ranking.score(looseness, distance)
-                        if score < top_k.threshold:
-                            consider(place_vertex, looseness, distance)
+                        consider(place_vertex, looseness, distance)
 
             # Sorted access on the spatial list + random looseness access.
             if not spatial_exhausted:
@@ -292,7 +290,7 @@ def ta_search(
                         stats.tqsp_computations += 1
                         if search.status is SearchStatus.COMPLETE:
                             score = ranking.score(search.looseness, distance)
-                            if score < top_k.threshold:
+                            if top_k.admits(score, entry.key):
                                 top_k.consider(
                                     searcher.build_place(
                                         query,
@@ -305,7 +303,8 @@ def ta_search(
                                 )
 
             # Fagin's stopping rule: no unseen place can beat the k-th
-            # candidate.
+            # candidate.  Strict, because an unseen place scoring exactly
+            # tau still enters when its root id is the lower one.
             looseness_floor = (
                 math.inf if looseness_exhausted else looseness_stream.lower_bound()
             )
@@ -316,7 +315,7 @@ def ta_search(
             )
             if looseness_exhausted or spatial_exhausted:
                 break
-            if top_k.threshold <= tau:
+            if top_k.threshold < tau:
                 break
     except QueryTimeout:
         stats.timed_out = True

@@ -52,7 +52,7 @@ from repro.core.config import EngineConfig, QueryOptions
 from repro.core.deadline import Deadline
 from repro.core.engine import KSPEngine, _hash_manifest
 from repro.core.metrics import MetricsRegistry, process_uptime_seconds
-from repro.core.query import KSPQuery, KSPResult
+from repro.core.query import KSPQuery, KSPResult, SemanticPlace
 from repro.core.ranking import (
     RankingFunction,
     WeightedSumRanking,
@@ -419,7 +419,7 @@ class ShardRouter:
         deadline: Optional[Deadline],
         recorder: Optional[QueryTrace],
     ) -> KSPResult:
-        top_k = TopKQueue(query.k)
+        top_k: TopKQueue[SemanticPlace] = TopKQueue(query.k)
         merge_lock = threading.Lock()
         records: List[Dict[str, Any]] = []
         plan: List[Dict[str, Any]] = []

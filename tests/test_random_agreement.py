@@ -6,7 +6,7 @@ empty documents, coincident locations, dangling places — and asserts all
 four algorithms still match the exhaustive reference."""
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import KSPEngine
@@ -42,6 +42,17 @@ def random_graphs(draw):
     return graph
 
 
+def score_tie_graph():
+    """Two places at one point, so both score 0 at that point: ``v1``
+    (empty document) reaches ``aa`` through ``v2``, which holds it."""
+    graph = RDFGraph()
+    graph.add_vertex("v0")
+    graph.add_vertex("v1", document=frozenset(), location=Point(0, 0))
+    graph.add_vertex("v2", document=frozenset({"aa"}), location=Point(0, 0))
+    graph.add_edge(1, 2)
+    return graph
+
+
 queries = st.tuples(
     st.lists(st.sampled_from(TERMS), min_size=1, max_size=3, unique=True),
     st.integers(min_value=1, max_value=4),
@@ -52,6 +63,7 @@ queries = st.tuples(
 
 class TestRandomGraphAgreement:
     @given(random_graphs(), queries)
+    @example(score_tie_graph(), (["aa"], 1, 0.0, 0.0))
     @settings(max_examples=60, deadline=None)
     def test_all_methods_match_exhaustive(self, graph, query_spec):
         keywords, k, x, y = query_spec
@@ -65,6 +77,16 @@ class TestRandomGraphAgreement:
                 for p in engine.query(query, method=method)
             ]
             assert got == expected, method
+
+    def test_ta_breaks_score_ties_by_root_id(self):
+        # Both places score 0; the lower root id ranks first.  TA used to
+        # prune at score >= theta and return root 2.
+        engine = KSPEngine(score_tie_graph(), EngineConfig(alpha=2))
+        query = KSPQuery(location=Point(0, 0), keywords=("aa",), k=1)
+        for method in ("bsp", "spp", "sp", "ta"):
+            assert [(p.root, p.score) for p in engine.query(query, method=method)] == [
+                (1, 0.0)
+            ], method
 
     @given(random_graphs(), queries)
     @settings(max_examples=25, deadline=None)

@@ -3,8 +3,10 @@
 Two comparisons the paper discusses but does not plot:
 
 * **Memory-resident vs disk-resident data graph** (Section 1 footnote 1 /
-  Section 8 future work): SPP query latency over the in-memory adjacency
-  lists vs the mmap'd snapshot graph, which the OS pages in and out.
+  Section 8 future work): SPP query latency with the TQSP kernel on an
+  in-memory CSR snapshot vs on the CSR view a snapshot-opened engine
+  serves from (``KSPEngine.from_snapshot(path).csr``), whose arrays the
+  OS pages in and out.
 * **One-by-one R-tree insertion vs STR bulk loading** (the Table 5
   discussion: "the cost can be drastically reduced if bulk loading was
   used"): build time of both, and query cost over both trees.
@@ -18,6 +20,7 @@ from pathlib import Path
 from repro.bench.context import DEFAULT_ALPHA, dataset
 from repro.bench.tables import Table
 from repro.core.engine import KSPEngine
+from repro.core.runtime import TQSPRuntime
 from repro.core.sp import sp_search
 from repro.core.spp import spp_search
 from repro.alpha.index import AlphaIndex
@@ -29,13 +32,15 @@ def _disk_graph_comparison():
     ds = dataset("dbpedia")
     queries = ds.workload("O", keyword_count=5, k=5)
     table = Table(
-        "Memory vs disk-resident data graph (SPP queries)",
-        ["backend", "runtime_ms", "graph_bytes"],
+        "Memory vs disk-resident CSR adjacency (SPP queries)",
+        ["backend", "runtime_ms", "csr_bytes"],
     )
     memory_total = 0.0
     for query in queries:
         memory_total += ds.run(query, "spp").stats.runtime_seconds
-    table.add_row("memory", 1000 * memory_total / len(queries), ds.graph.size_bytes())
+    table.add_row(
+        "memory", 1000 * memory_total / len(queries), ds.runtime.csr.size_bytes()
+    )
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dbpedia.snap"
@@ -48,20 +53,24 @@ def _disk_graph_comparison():
             undirected=False,
             rtree_max_entries=ds.rtree.max_entries,
         )
-        disk = KSPEngine.from_snapshot(path).graph
-        # The algorithms only need the graph for BFS; reuse the existing
+        disk = KSPEngine.from_snapshot(path)
+        runtime = TQSPRuntime(csr=disk.csr)
+        # The TQSP kernel reads only the CSR arrays; reuse the existing
         # inverted/reachability indexes (they are graph-content-equal).
         disk_total = 0.0
         results_match = True
         for query in queries:
             started = time.monotonic()
-            result = spp_search(disk, ds.rtree, ds.inverted_index, ds.reachability, query)
+            result = spp_search(
+                disk.graph, ds.rtree, ds.inverted_index, ds.reachability, query,
+                runtime=runtime,
+            )
             disk_total += time.monotonic() - started
             reference = ds.run(query, "spp")
             if result.roots() != reference.roots():
                 results_match = False
         table.add_row(
-            "snapshot (mmap)", 1000 * disk_total / len(queries), disk.size_bytes()
+            "snapshot (mmap)", 1000 * disk_total / len(queries), disk.csr.size_bytes()
         )
     return table, memory_total, disk_total, results_match
 
@@ -107,7 +116,7 @@ def _rtree_loading_comparison():
         for query in queries:
             result = sp_search(
                 ds.graph, tree, ds.inverted_index, ds.reachability,
-                alpha_index, query,
+                alpha_index, query, runtime=ds.runtime,
             )
             total += result.stats.runtime_seconds
             accesses += result.stats.rtree_node_accesses

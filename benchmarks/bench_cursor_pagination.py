@@ -45,6 +45,7 @@ def _sweep():
         cursor = ksp_cursor(
             ds.graph, ds.rtree, ds.inverted_index, ds.reachability,
             ds.alpha_index(3), query.location, list(query.keywords),
+            runtime=ds.runtime,
         )
         pages = []
         for _ in range(PAGES):

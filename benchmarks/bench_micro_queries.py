@@ -52,7 +52,7 @@ def test_tqsp_construction_latency(benchmark, name):
 
     ds = dataset(name)
     queries = ds.workload("O", keyword_count=5, k=5)
-    searcher = SemanticPlaceSearcher(ds.graph)
+    searcher = SemanticPlaceSearcher(ds.graph, runtime=ds.runtime)
     places = [place for place, _ in ds.graph.places()]
     pairs = itertools.cycle(
         (query, place)

@@ -3,7 +3,10 @@
 A :class:`BenchDataset` owns one synthetic corpus and all of its indexes
 (alpha-radius indexes are built per alpha on demand and cached), generates
 cached query workloads, and dispatches queries to any algorithm — including
-the ablation variants that the engine facade does not expose.
+the ablation variants that the engine facade does not expose.  All four
+algorithms share one cache-less :class:`~repro.core.runtime.TQSPRuntime`,
+so every figure runs the CSR kernel (and SP its field plan) without
+paying a CSR build per query or reusing TQSP results across queries.
 
 Scale knobs come from the environment so the same bench files serve quick
 smoke runs and full reproductions:
@@ -25,6 +28,7 @@ from repro.alpha.index import AlphaIndex
 from repro.core.bsp import bsp_search
 from repro.core.query import KSPQuery, KSPResult
 from repro.core.ranking import DEFAULT_RANKING, RankingFunction
+from repro.core.runtime import TQSPRuntime
 from repro.core.sp import sp_search
 from repro.core.spp import spp_search
 from repro.core.stats import AggregateStats
@@ -32,6 +36,7 @@ from repro.core.ta import ta_search
 from repro.datagen.profiles import DBPEDIA_LIKE, YAGO_LIKE, DatasetProfile
 from repro.datagen.queries import QueryGenerator, WorkloadConfig
 from repro.datagen.synthetic import generate_graph
+from repro.rdf.csr import CSRAdjacency
 from repro.rdf.graph import RDFGraph
 from repro.reach.keyword import KeywordReachabilityIndex
 from repro.spatial.rtree import RTree
@@ -62,6 +67,10 @@ class BenchDataset:
         started = time.monotonic()
         self.graph = graph if graph is not None else generate_graph(profile)
         self.build_seconds["generate"] = time.monotonic() - started
+
+        started = time.monotonic()
+        self.runtime = TQSPRuntime(CSRAdjacency.from_graph(self.graph))
+        self.build_seconds["csr_snapshot"] = time.monotonic() - started
 
         started = time.monotonic()
         self.inverted_index = InvertedIndex.build(self.graph)
@@ -140,23 +149,24 @@ class BenchDataset:
         if method == "bsp":
             return bsp_search(
                 self.graph, self.rtree, self.inverted_index, query,
-                ranking=ranking, timeout=timeout,
+                ranking=ranking, timeout=timeout, runtime=self.runtime,
             )
         if method == "spp":
             return spp_search(
                 self.graph, self.rtree, self.inverted_index, self.reachability,
-                query, ranking=ranking, timeout=timeout, **ablation,
+                query, ranking=ranking, timeout=timeout,
+                runtime=self.runtime, **ablation,
             )
         if method == "sp":
             return sp_search(
                 self.graph, self.rtree, self.inverted_index, self.reachability,
                 self.alpha_index(alpha), query, ranking=ranking,
-                timeout=timeout, **ablation,
+                timeout=timeout, runtime=self.runtime, **ablation,
             )
         if method == "ta":
             return ta_search(
                 self.graph, self.rtree, self.inverted_index, query,
-                ranking=ranking, timeout=timeout,
+                ranking=ranking, timeout=timeout, runtime=self.runtime,
             )
         raise ValueError("unknown method %r" % method)
 

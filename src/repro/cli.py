@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--stats",
         action="store_true",
-        help="print the full execution-statistics table (cache and "
-        "kernel counters included)",
+        help="print the full execution-statistics table (cache "
+        "counters included)",
     )
     query.add_argument(
         "--trace",

@@ -109,8 +109,6 @@ class BatchReport:
                 "cache_hits",
                 "cache_misses",
                 "cache_bound_reuses",
-                "kernel_searches",
-                "fallback_searches",
             )
         }
 
@@ -140,8 +138,6 @@ class BatchReport:
                 totals["cache_misses"],
                 totals["cache_bound_reuses"],
             ),
-            "  kernel: %d fast-path, %d fallback searches"
-            % (totals["kernel_searches"], totals["fallback_searches"]),
         ]
         timeouts = self.timeout_count
         if timeouts:

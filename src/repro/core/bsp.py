@@ -42,8 +42,8 @@ def bsp_search(
     in-memory or the disk-resident index).  ``timeout`` (seconds, or a
     pre-built :class:`~repro.core.deadline.Deadline`) replicates the
     paper's 120 s abort protocol: on expiry the partial top-k found so
-    far is returned with ``stats.timed_out`` set.  ``runtime`` activates
-    the CSR kernel / TQSP cache fast path (see
+    far is returned with ``stats.timed_out`` set.  ``runtime`` is
+    the engine's CSR snapshot and TQSP cache (see
     :class:`~repro.core.runtime.TQSPRuntime`); ``trace`` records the
     per-phase time breakdown.
     """

@@ -5,8 +5,8 @@ across ``KSPEngine.__init__``, the ``from_*`` constructors, ``load``,
 ``query``/``run``, ``query_batch`` and ``cursor``:
 
 * :class:`EngineConfig` — everything decided once per engine (index
-  construction knobs, the serving fast path, the default ranking and
-  batch worker count).  Accepted by every constructor; hashable and
+  construction knobs, the TQSP cache, the default ranking and batch
+  worker count).  Accepted by every constructor; hashable and
   ``replace``-able, so deployments can derive variants.
 * :class:`QueryOptions` — everything decided per query (``k``, the
   evaluation method, ranking, deadline, tracing, request id).  One
@@ -46,9 +46,6 @@ class EngineConfig:
     undirected:
         Treat edges as undirected everywhere (the paper's future-work
         variant).
-    use_csr_kernel:
-        Snapshot the graph into flat-array CSR adjacency and run every
-        TQSP construction on the fast-path kernel.
     tqsp_cache_size:
         Capacity of the cross-query TQSP result cache; 0 disables it.
     ranking:
@@ -67,7 +64,6 @@ class EngineConfig:
     build_alpha: bool = True
     reach_method: str = "pll"
     undirected: bool = False
-    use_csr_kernel: bool = True
     tqsp_cache_size: int = 4096
     ranking: RankingFunction = DEFAULT_RANKING
     workers: int = 4

@@ -59,8 +59,8 @@ class KSPEngine:
     config:
         An :class:`~repro.core.config.EngineConfig` with every
         construction knob (alpha radius, R-tree capacity, which indexes
-        to build, fast-path and cache settings, default ranking and
-        batch worker count).
+        to build, TQSP cache size, default ranking and batch worker
+        count).
 
     The pre-1.1 keyword arguments (``alpha=``, ``undirected=``, ...)
     and the ``run()`` alias are gone; pass ``config=EngineConfig(...)``
@@ -74,11 +74,10 @@ class KSPEngine:
     ) -> None:
         config = config or EngineConfig()
         started = time.monotonic()
-        csr = CSRAdjacency.from_graph(graph) if config.use_csr_kernel else None
+        csr = CSRAdjacency.from_graph(graph)
         csr_seconds = time.monotonic() - started
         self._assemble(graph, config, csr)
-        if csr is not None:
-            self.build_seconds["csr_snapshot"] = csr_seconds
+        self.build_seconds["csr_snapshot"] = csr_seconds
 
         started = time.monotonic()
         self.inverted_index = InvertedIndex.build(graph)
@@ -116,14 +115,14 @@ class KSPEngine:
         self,
         graph,
         config: EngineConfig,
-        csr: Optional[CSRAdjacency],
+        csr: CSRAdjacency,
         snapshot=None,
     ) -> None:
         """Wire the serving state every constructor shares: the graph and
-        its build-time settings, the CSR kernel (``csr``, or ``None`` for
-        the generator traversal), the TQSP cache and runtime, the flight
-        recorder, the backing snapshot (if any) and the metric families.
-        The caller then attaches the four indexes."""
+        its build-time settings, the CSR snapshot the TQSP kernel runs
+        on, the TQSP cache and runtime, the flight recorder, the backing
+        snapshot (if any) and the metric families.  The caller then
+        attaches the four indexes."""
         self.graph = graph
         self.config = config
         self.alpha = config.alpha
@@ -134,11 +133,7 @@ class KSPEngine:
         self.tqsp_cache: Optional[TQSPCache] = (
             TQSPCache(config.tqsp_cache_size) if config.tqsp_cache_size > 0 else None
         )
-        self._runtime: Optional[TQSPRuntime] = (
-            TQSPRuntime(csr=csr, cache=self.tqsp_cache)
-            if (csr is not None or self.tqsp_cache is not None)
-            else None
-        )
+        self._runtime = TQSPRuntime(csr=csr, cache=self.tqsp_cache)
         self.flight_recorder = FlightRecorder(config.flight_recorder_size)
         self._snapshot = snapshot
         self._init_metrics()
@@ -168,13 +163,6 @@ class KSPEngine:
         self._metric_cache_bound_reuses = self.metrics.counter(
             "ksp_tqsp_cache_bound_reuses_total", "TQSP cache PRUNED-bound re-prunes"
         )
-        self._metric_kernel = self.metrics.counter(
-            "ksp_tqsp_kernel_searches_total", "TQSP constructions on the CSR kernel"
-        )
-        self._metric_fallback = self.metrics.counter(
-            "ksp_tqsp_fallback_searches_total",
-            "TQSP constructions on the generator fallback",
-        )
 
     def _record_query(self, method: str, result: KSPResult) -> None:
         stats = result.stats
@@ -199,10 +187,6 @@ class KSPEngine:
             self._metric_cache_misses.inc(stats.cache_misses)
         if stats.cache_bound_reuses:
             self._metric_cache_bound_reuses.inc(stats.cache_bound_reuses)
-        if stats.kernel_searches:
-            self._metric_kernel.inc(stats.kernel_searches)
-        if stats.fallback_searches:
-            self._metric_fallback.inc(stats.fallback_searches)
 
     def metrics_text(self) -> str:
         """Prometheus-style text exposition of the serving metrics.
@@ -379,10 +363,11 @@ class KSPEngine:
         postings and reachability labels are served through zero-copy
         views over the mapping, and the R-tree is reconstructed from its
         node section (ids preserved, so the alpha node postings stay
-        valid).  ``config`` supplies the serving knobs
-        (``use_csr_kernel``, ``tqsp_cache_size``, default ranking,
-        workers); the build-time fields (``alpha``, ``undirected``,
-        ``rtree_max_entries``) come from the snapshot manifest.
+        valid).  The TQSP kernel runs on a CSR view over the mapped
+        ``graph.*`` sections.  ``config`` supplies the serving knobs
+        (``tqsp_cache_size``, default ranking, workers); the build-time
+        fields (``alpha``, ``undirected``, ``rtree_max_entries``) come
+        from the snapshot manifest.
         ``verify=True`` additionally checks the full content hash before
         serving (the header and section table are always validated, and
         so are the manifest's graph counts against the graph sections).
@@ -411,15 +396,13 @@ class KSPEngine:
         )
         graph = SnapshotRDFGraph(snapshot, vocab)
 
-        csr = None
-        if config.use_csr_kernel:
-            csr = CSRAdjacency(
-                manifest["vertices"],
-                snapshot.array_view("graph.out_index", "q"),
-                snapshot.array_view("graph.out_targets", "i"),
-                snapshot.array_view("graph.in_index", "q"),
-                snapshot.array_view("graph.in_targets", "i"),
-            )
+        csr = CSRAdjacency(
+            manifest["vertices"],
+            snapshot.array_view("graph.out_index", "q"),
+            snapshot.array_view("graph.out_targets", "i"),
+            snapshot.array_view("graph.in_index", "q"),
+            snapshot.array_view("graph.in_targets", "i"),
+        )
         engine = cls.__new__(cls)
         engine._assemble(graph, config, csr, snapshot)
         engine.inverted_index = SnapshotInvertedIndex(snapshot, vocab)
@@ -681,9 +664,8 @@ class KSPEngine:
             "rtree": self.rtree.size_bytes(),
             "rdf_graph": self.graph.size_bytes(),
             "inverted_index": self.inverted_index.size_bytes(),
+            "csr_snapshot": self.csr.size_bytes(),
         }
-        if self.csr is not None:
-            report["csr_snapshot"] = self.csr.size_bytes()
         if self.reachability is not None:
             report["reachability"] = self.reachability.size_bytes()
         if self.alpha_index is not None:
@@ -716,7 +698,6 @@ class KSPEngine:
             "build_alpha",
             "reach_method",
             "undirected",
-            "use_csr_kernel",
             "tqsp_cache_size",
             "workers",
             "flight_recorder_size",

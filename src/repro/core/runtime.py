@@ -1,10 +1,10 @@
-"""The query-serving runtime: shared fast-path state for the searchers.
+"""The query-serving runtime: shared TQSP state for the searchers.
 
 A :class:`TQSPRuntime` bundles what the engine builds once and every
 query reuses:
 
-* the :class:`~repro.rdf.csr.CSRAdjacency` snapshot (None when the
-  engine is configured for the generator fallback);
+* the :class:`~repro.rdf.csr.CSRAdjacency` snapshot the TQSP kernel
+  runs on;
 * the cross-query :class:`~repro.core.tqsp_cache.TQSPCache` (None when
   caching is disabled);
 * per-thread :class:`~repro.rdf.csr.BFSScratch` buffers, handed out via
@@ -12,17 +12,19 @@ query reuses:
   on (or corrupt) each other's visited/parent arrays.
 
 Algorithms thread an optional runtime through to
-:class:`~repro.core.semantic_place.SemanticPlaceSearcher`; passing None
-everywhere reproduces the seed execution path exactly.
+:class:`~repro.core.semantic_place.SemanticPlaceSearcher`; a searcher
+given none builds a cache-less runtime over its own CSR snapshot.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.tqsp_cache import TQSPCache
 from repro.rdf.csr import BFSScratch, CSRAdjacency
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache -> semantic_place)
+    from repro.core.tqsp_cache import TQSPCache
 
 
 class TQSPRuntime:
@@ -30,7 +32,7 @@ class TQSPRuntime:
 
     def __init__(
         self,
-        csr: Optional[CSRAdjacency] = None,
+        csr: CSRAdjacency,
         cache: Optional[TQSPCache] = None,
     ) -> None:
         self.csr = csr
@@ -41,7 +43,6 @@ class TQSPRuntime:
         """This thread's BFS scratch buffers (created on first use)."""
         scratch = getattr(self._local, "scratch", None)
         if scratch is None:
-            capacity = self.csr.vertex_count if self.csr is not None else 0
-            scratch = BFSScratch(capacity)
+            scratch = BFSScratch(self.csr.vertex_count)
             self._local.scratch = scratch
         return scratch

@@ -14,18 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.query import KSPQuery, SemanticPlace
+from repro.core.runtime import TQSPRuntime
 from repro.core.stats import QueryStats
-from repro.rdf.csr import csr_cominimal_covers, csr_tightest
+from repro.rdf.csr import CSRAdjacency, csr_cominimal_covers, csr_tightest
 from repro.rdf.graph import RDFGraph
 from repro.spatial.geometry import Point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (deadline -> stats)
     from repro.core.deadline import Deadline
-
-_DEADLINE_CHECK_INTERVAL = 1024
 
 
 class SearchStatus(Enum):
@@ -59,20 +58,27 @@ class TQSPSearch:
 class SemanticPlaceSearcher:
     """Constructs tightest qualified semantic places on one RDF graph.
 
-    ``runtime`` (a :class:`~repro.core.runtime.TQSPRuntime`) activates
-    the serving fast path: searches run on the CSR BFS kernel with
-    reusable scratch buffers, and outcomes are memoized in the
-    cross-query TQSP cache.  Without a runtime (or on graph backends
-    with no CSR snapshot) the generator traversal path of the seed
-    implementation is used.
+    Every search runs on the CSR BFS kernel of ``runtime`` (a
+    :class:`~repro.core.runtime.TQSPRuntime`), with its per-thread
+    scratch buffers, and is memoized in the runtime's cross-query TQSP
+    cache when it has one.  Without a runtime the searcher builds a
+    cache-less one over a fresh CSR snapshot of ``graph``; timed callers
+    pass the engine's runtime instead.
     """
 
     def __init__(
         self, graph: RDFGraph, undirected: bool = False, runtime=None
     ) -> None:
+        if runtime is None:
+            runtime = TQSPRuntime(CSRAdjacency.from_graph(graph))
         self._graph = graph
         self._undirected = undirected
         self._runtime = runtime
+
+    @property
+    def csr(self) -> CSRAdjacency:
+        """The CSR snapshot every search of this searcher runs on."""
+        return self._runtime.csr
 
     # ------------------------------------------------------------------
 
@@ -96,98 +102,26 @@ class SemanticPlaceSearcher:
         top-k.
         """
         runtime = self._runtime
-        cache = runtime.cache if runtime is not None else None
+        cache = runtime.cache
         if cache is not None:
             cache_key = cache.key(place, keywords, self._undirected)
             cached = cache.lookup(cache_key, looseness_threshold, stats=stats)
             if cached is not None:
                 return cached
-        if runtime is not None and runtime.csr is not None:
-            if stats is not None:
-                stats.kernel_searches += 1
-            search = csr_tightest(
-                runtime.csr,
-                runtime.scratch(),
-                place,
-                keywords,
-                query_map,
-                looseness_threshold=looseness_threshold,
-                stats=stats,
-                deadline=deadline,
-                undirected=self._undirected,
-            )
-        else:
-            if stats is not None:
-                stats.fallback_searches += 1
-            search = self._tightest_generator(
-                keywords,
-                place,
-                query_map,
-                looseness_threshold=looseness_threshold,
-                stats=stats,
-                deadline=deadline,
-            )
+        search = csr_tightest(
+            runtime.csr,
+            runtime.scratch(),
+            place,
+            keywords,
+            query_map,
+            looseness_threshold=looseness_threshold,
+            stats=stats,
+            deadline=deadline,
+            undirected=self._undirected,
+        )
         if cache is not None:
             cache.store(cache_key, search, looseness_threshold)
         return search
-
-    def _tightest_generator(
-        self,
-        keywords: Sequence[str],
-        place: int,
-        query_map: Mapping[int, frozenset],
-        looseness_threshold: float = math.inf,
-        stats: Optional[QueryStats] = None,
-        deadline: Optional["Deadline"] = None,
-    ) -> TQSPSearch:
-        """The seed tuple-yielding traversal path (disk-graph fallback)."""
-        graph = self._graph
-        outstanding: Set[str] = set(keywords)
-        total_keywords = len(outstanding)
-        if total_keywords == 0:
-            raise ValueError("TQSP construction needs at least one keyword")
-        covered_sum = 0.0
-        keyword_vertices: Dict[str, int] = {}
-        parents: Dict[int, int] = {}
-        visited = 0
-
-        for vertex, distance, parent in graph.bfs(place, undirected=self._undirected):
-            visited += 1
-            if deadline is not None and visited % _DEADLINE_CHECK_INTERVAL == 0:
-                deadline.check()
-            parents[vertex] = parent
-            # Lemma 1: every outstanding keyword lies at distance >= d(p, v).
-            dynamic_bound = 1.0 + covered_sum + distance * len(outstanding)
-            if dynamic_bound >= looseness_threshold:
-                if stats is not None:
-                    stats.vertices_visited += visited
-                    stats.pruned_rule2 += 1
-                return TQSPSearch(
-                    SearchStatus.PRUNED, math.inf, vertices_visited=visited
-                )
-            matched = query_map.get(vertex)
-            if matched:
-                hits = outstanding & matched
-                if hits:
-                    covered_sum += len(hits) * distance
-                    for term in hits:
-                        keyword_vertices[term] = vertex
-                    outstanding -= hits
-                    if not outstanding:
-                        if stats is not None:
-                            stats.vertices_visited += visited
-                        return TQSPSearch(
-                            SearchStatus.COMPLETE,
-                            1.0 + covered_sum,
-                            keyword_vertices,
-                            parents,
-                            vertices_visited=visited,
-                        )
-
-        if stats is not None:
-            stats.vertices_visited += visited
-            stats.unqualified_places += 1
-        return TQSPSearch(SearchStatus.UNQUALIFIED, math.inf, vertices_visited=visited)
 
     # ------------------------------------------------------------------
 
@@ -235,45 +169,12 @@ class SemanticPlaceSearcher:
         unqualified.
         """
         runtime = self._runtime
-        if runtime is not None and runtime.csr is not None:
-            return csr_cominimal_covers(
-                runtime.csr,
-                runtime.scratch(),
-                place,
-                keywords,
-                query_map,
-                undirected=self._undirected,
-                deadline=deadline,
-            )
-        graph = self._graph
-        best_distance: Dict[str, int] = {}
-        covers: Dict[str, List[int]] = {term: [] for term in keywords}
-        outstanding = set(keywords)
-        frontier_done = -1
-        level = -1
-        for vertex, distance, _ in graph.bfs(place, undirected=self._undirected):
-            if deadline is not None and distance != level:
-                deadline.check()
-                level = distance
-            if not outstanding and distance > frontier_done:
-                break
-            matched = query_map.get(vertex)
-            if not matched:
-                continue
-            for term in matched:
-                if term not in covers:
-                    continue
-                recorded = best_distance.get(term)
-                if recorded is None:
-                    best_distance[term] = distance
-                    covers[term].append(vertex)
-                    outstanding.discard(term)
-                    if not outstanding:
-                        # Finish scanning the current BFS level so that all
-                        # equally-near covers of the last keyword are found.
-                        frontier_done = distance
-                elif recorded == distance:
-                    covers[term].append(vertex)
-        if outstanding:
-            return None
-        return covers
+        return csr_cominimal_covers(
+            runtime.csr,
+            runtime.scratch(),
+            place,
+            keywords,
+            query_map,
+            undirected=self._undirected,
+            deadline=deadline,
+        )

@@ -177,7 +177,8 @@ def sp_search(
     ``use_node_pruning`` toggles Rules 3/4 enqueue filtering (the priority
     order itself is always the alpha-bound, as in Algorithm 4);
     ``rule1_rarest_first`` toggles the rarest-first probing order.
-    ``runtime`` activates the CSR kernel / TQSP cache fast path;
+    ``runtime`` is the engine's CSR snapshot and TQSP cache (without
+    one the searcher builds a cache-less runtime per call);
     ``trace`` records the per-phase time breakdown.
     """
     if use_rule1 and reachability is None:
@@ -195,10 +196,10 @@ def sp_search(
     view = alpha_index.query_view(query.keywords)
     searcher = SemanticPlaceSearcher(graph, undirected=undirected, runtime=runtime)
     top_k: TopKQueue[Union[SemanticPlace, _Pending]] = TopKQueue(query.k)
-    # The plan switch needs the CSR snapshot and is tried at most once:
-    # ``csr`` goes back to None when it has been.
-    csr = runtime.csr if runtime is not None else None
-    budget = field_budget(query, csr.vertex_count) if csr is not None else 0
+    # The plan switch is tried at most once: ``csr`` goes back to None
+    # when it has been.
+    csr: Optional[CSRAdjacency] = searcher.csr
+    budget = field_budget(query, csr.vertex_count)
     fields: Optional[List[bytearray]] = None
 
     # Priority queue over R-tree entries keyed by the alpha score bound.

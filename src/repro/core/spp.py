@@ -52,7 +52,7 @@ def spp_search(
 
     ``use_rule1`` / ``use_rule2`` / ``rule1_rarest_first`` exist for the
     ablation bench; all default on, which is the paper's SPP.
-    ``runtime`` activates the CSR kernel / TQSP cache fast path;
+    ``runtime`` is the engine's CSR snapshot and TQSP cache;
     ``trace`` records the per-phase time breakdown.
     """
     stats = QueryStats(algorithm="SPP")

@@ -34,8 +34,6 @@ class QueryStats:
     cache_hits: int = 0  # TQSP cache: exact COMPLETE/UNQUALIFIED reuses
     cache_misses: int = 0  # TQSP cache: lookups that ran a BFS
     cache_bound_reuses: int = 0  # TQSP cache: PRUNED lower-bound re-prunes
-    kernel_searches: int = 0  # TQSP constructions on the CSR fast path
-    fallback_searches: int = 0  # TQSP constructions on the generator path
     timed_out: bool = False
     error: Optional[str] = None  # worker exception captured by the batch layer
     # Per-shard scatter-gather records (repro.shard.router): bound,
@@ -93,8 +91,6 @@ class QueryStats:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_bound_reuses": self.cache_bound_reuses,
-            "kernel_searches": self.kernel_searches,
-            "fallback_searches": self.fallback_searches,
             "timed_out": self.timed_out,
             "error": self.error,
         }

@@ -182,7 +182,7 @@ def ta_search(
 ) -> KSPResult:
     """Answer ``query`` with the TA baseline.
 
-    ``runtime`` activates the CSR kernel / TQSP cache fast path for the
+    ``runtime`` is the engine's CSR snapshot and TQSP cache, used by the
     random-access TQSP constructions; ``trace`` records the per-phase
     time breakdown.
     """

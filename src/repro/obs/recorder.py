@@ -91,8 +91,6 @@ RECORD_COUNTERS = (
     "cache_hits",
     "cache_misses",
     "cache_bound_reuses",
-    "kernel_searches",
-    "fallback_searches",
 )
 
 

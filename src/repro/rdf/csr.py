@@ -1,10 +1,11 @@
-"""Flat-array CSR adjacency snapshot and the fast-path BFS kernel.
+"""Flat-array CSR adjacency snapshot and the TQSP BFS kernel.
 
 The kSP algorithms bottom out in ``GetSemanticPlace`` — one BFS per
 candidate place per query.  The generator in
 :mod:`repro.rdf.traversal` allocates a ``seen`` set, a deque and one
 ``(vertex, distance, parent)`` tuple per visit; at serving rates that
-allocation traffic dominates.  This module provides the tight loop:
+allocation traffic dominates.  This module provides the tight loop that
+every TQSP construction runs on:
 
 * :class:`CSRAdjacency` — a compressed-sparse-row snapshot of any graph
   exposing the adjacency protocol, stored as four flat ``array`` module
@@ -12,11 +13,12 @@ allocation traffic dominates.  This module provides the tight loop:
 * :class:`BFSScratch` — reusable per-searcher buffers: an epoch-tagged
   visited array (no clearing between searches), a parent array and two
   frontier lists.  One instance per worker thread.
-* :func:`csr_tightest` / :func:`csr_cominimal_covers` —
-  level-synchronous ports of the traversal-mixin consumers.  They visit
-  vertices in exactly the same order as the generator path (frontier
-  order is FIFO order), so results are identical; only the allocation
-  profile changes.
+* :func:`csr_tightest` / :func:`csr_cominimal_covers` — level-
+  synchronous BFS over the snapshot.  They visit vertices in exactly the
+  order of a FIFO BFS over the graph's adjacency lists (frontier order
+  is FIFO order), so they return what the exhaustive oracle's own
+  generator-based search (:mod:`repro.core.exhaustive`) returns; only
+  the allocation profile differs.
 * :func:`csr_distance_field` — the reverse direction: one
   level-synchronous BFS over in-edges from every holder of a term gives
   ``d(v, t)`` for all vertices at once, in a ``bytearray`` of hop
@@ -24,10 +26,9 @@ allocation traffic dominates.  This module provides the tight loop:
   switches to it once its forward searches have cost as much as one
   field per query keyword.
 
-The generator path remains the fallback when an engine is configured
-without the kernel (``EngineConfig(use_csr_kernel=False)``).  An engine
-opened from a snapshot wraps the mapped ``graph.*`` sections instead of
-materializing new arrays.
+Every engine owns one snapshot: a built engine materializes the arrays,
+an engine opened from a snapshot file wraps the mapped ``graph.*``
+sections instead.
 """
 
 from __future__ import annotations
@@ -196,9 +197,9 @@ def csr_tightest(
 ):
     """GetSemanticPlace(P) on the CSR snapshot.
 
-    Level-synchronous BFS probing vertices in the same order as the
-    generator path; returns the same :class:`~repro.core.semantic_place.
-    TQSPSearch` (status, looseness, keyword vertices, parent chains).
+    Level-synchronous BFS probing vertices in FIFO BFS order; returns a
+    :class:`~repro.core.semantic_place.TQSPSearch` (status, looseness,
+    keyword vertices, parent chains).
 
     ``deadline`` is a :class:`~repro.core.deadline.Deadline` (or any
     object with ``check()``), polled cooperatively every
@@ -355,7 +356,12 @@ def csr_cominimal_covers(
     undirected: bool = False,
     deadline=None,
 ) -> Optional[Dict[str, List[int]]]:
-    """Kernel port of ``SemanticPlaceSearcher.cominimal_covers``."""
+    """Co-minimal covers (Section 2, footnote 2) on the CSR snapshot.
+
+    For each keyword, every vertex covering it at the minimal BFS
+    distance from ``place``; None when some keyword is out of reach.
+    Backs :meth:`~repro.core.semantic_place.SemanticPlaceSearcher.
+    cominimal_covers`."""
     if not 0 <= place < csr.vertex_count:
         raise IndexError("no such vertex: %d" % place)
     best_distance: Dict[str, int] = {}

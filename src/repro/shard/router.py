@@ -84,8 +84,6 @@ _MERGED_COUNTERS = (
     "cache_hits",
     "cache_misses",
     "cache_bound_reuses",
-    "kernel_searches",
-    "fallback_searches",
 )
 
 
@@ -156,8 +154,8 @@ class ShardRouter:
     shard_dir:
         Directory written by :func:`repro.shard.build.build_shards`.
     config:
-        Serving knobs for the per-shard engines (cache sizes, CSR
-        kernel, ranking, recorder size); build-time fields come from
+        Serving knobs for the per-shard engines (cache size, ranking,
+        recorder size); build-time fields come from
         each snapshot's own manifest.
     shard_urls:
         Optional base URLs, aligned with the manifest's shard order.
@@ -331,7 +329,6 @@ class ShardRouter:
             "config": {
                 "alpha": self.config.alpha,
                 "undirected": self.config.undirected,
-                "use_csr_kernel": self.config.use_csr_kernel,
                 "tqsp_cache_size": self.config.tqsp_cache_size,
             },
         }

@@ -1,13 +1,15 @@
 """Serving-stack agreement suite.
 
-The fast path (CSR kernel + shared TQSP cache + batched executor) must be
-behavior-identical to the seed sequential path: same places, same scores,
-same looseness, same keyword vertices, same paths — for every algorithm,
-both edge-direction modes, cold or warm cache, sequential or threaded.
+The serving path (shared TQSP cache + batched executor) must be
+behavior-identical to one query at a time on a cache-less engine: same
+places, same scores, same looseness, same keyword vertices, same paths —
+for every algorithm, both edge-direction modes, cold or warm cache,
+sequential or threaded.  (Both run the one CSR kernel; its agreement with
+a plain generator BFS is tests/test_csr_kernel.py's job.)
 
 Over 50 randomized queries run against both engine configurations; any
-divergence in the ranked output is a bug in the kernel, the cache's
-threshold interplay, or the executor's thread handling.
+divergence in the ranked output is a bug in the cache's threshold
+interplay or the executor's thread handling.
 """
 
 import random
@@ -73,18 +75,14 @@ def fingerprint(result):
 
 @pytest.fixture(scope="module")
 def engines():
-    """(seed, fast) engine pairs per direction mode over one shared graph."""
+    """(uncached, cached) engine pairs per direction mode over one shared
+    graph; the uncached engine answers one query at a time."""
     graph = build_graph(1401)
     pairs = {}
     for undirected in (False, True):
         seed = KSPEngine(
             graph,
-            EngineConfig(
-                alpha=2,
-                undirected=undirected,
-                use_csr_kernel=False,
-                tqsp_cache_size=0,
-            ),
+            EngineConfig(alpha=2, undirected=undirected, tqsp_cache_size=0),
         )
         fast = KSPEngine(graph, EngineConfig(alpha=2, undirected=undirected))
         pairs[undirected] = (seed, fast)
@@ -164,8 +162,6 @@ class TestBatchedVsSequential:
         assert report.queries_per_second > 0
         totals = report.counter_totals()
         assert totals["cache_hits"] > 0
-        assert totals["kernel_searches"] > 0
-        assert totals["fallback_searches"] == 0
         assert "cache:" in report.summary()
 
     def test_rejects_zero_workers(self, engines):

@@ -130,7 +130,7 @@ class TestStatsFlag:
         out = capsys.readouterr().out
         assert "statistics:" in out
         assert "cache_hits" in out
-        assert "kernel_searches" in out
+        assert "tqsp_computations" in out
         assert "tqsp cache:" in out
 
     def test_no_stats_by_default(self, example_file, capsys):

@@ -1,17 +1,24 @@
-"""The CSR BFS kernel must agree with the generator traversal path on
-every operation it replaces: TQSP construction (exact status, looseness,
-keyword vertices AND reconstructed paths), co-minimal covers, and the
-alpha-radius word neighborhoods of the preprocessing pass."""
+"""The CSR BFS kernel must agree with a plain generator BFS over the
+graph's adjacency lists on everything it computes: TQSP construction
+(exact status, looseness, keyword vertices, visit counts AND
+reconstructed paths, against the exhaustive oracle's own search),
+co-minimal covers, and the alpha-radius word neighborhoods of the
+preprocessing pass.  The oracle itself must not touch the kernel."""
 
 import math
 import random
+from typing import Dict, List, Optional
 
 import pytest
 
 from repro.alpha.index import AlphaIndex
 from repro.alpha.neighborhood import place_word_neighborhood
+from repro.core import semantic_place
+from repro.core.exhaustive import exhaustive_search, reference_tightest
 from repro.core.semantic_place import SearchStatus, SemanticPlaceSearcher
+from repro.core.query import KSPQuery
 from repro.core.runtime import TQSPRuntime
+from repro.datagen.paper_example import EXAMPLE_KEYWORDS, Q1, build_example_graph
 from repro.rdf.csr import (
     BFSScratch,
     CSRAdjacency,
@@ -24,6 +31,36 @@ from repro.spatial.rtree import RTree
 from repro.text.inverted import InvertedIndex, build_query_map
 
 TERMS = ["alpha", "beta", "gamma", "delta", "epsilon"]
+
+
+def reference_cominimal_covers(
+    graph, keywords, place, query_map, undirected=False
+) -> Optional[Dict[str, List[int]]]:
+    """Co-minimal covers (Section 2, footnote 2) by a generator BFS: per
+    keyword, every vertex covering it at the minimal distance from
+    ``place``; None when some keyword is out of reach."""
+    best_distance: Dict[str, int] = {}
+    covers: Dict[str, List[int]] = {term: [] for term in keywords}
+    outstanding = set(keywords)
+    frontier_done = -1
+    for vertex, distance, _ in graph.bfs(place, undirected=undirected):
+        if not outstanding and distance > frontier_done:
+            break
+        for term in query_map.get(vertex, ()):
+            if term not in covers:
+                continue
+            recorded = best_distance.get(term)
+            if recorded is None:
+                best_distance[term] = distance
+                covers[term].append(vertex)
+                outstanding.discard(term)
+                if not outstanding:
+                    # Finish the level: equally near covers of the last
+                    # keyword count too.
+                    frontier_done = distance
+            elif recorded == distance:
+                covers[term].append(vertex)
+    return None if outstanding else covers
 
 
 def random_graph(rng, vertex_count=40, edge_factor=2.5, place_share=0.3):
@@ -97,14 +134,18 @@ class TestTightestAgreement:
             inverted = InvertedIndex.build(graph)
             csr = CSRAdjacency.from_graph(graph)
             scratch = BFSScratch(csr.vertex_count)
-            searcher = SemanticPlaceSearcher(graph, undirected=undirected)
             keywords = rng.sample(TERMS, rng.randint(1, 3))
             query_map = build_query_map(inverted, keywords)
             place = rng.randrange(graph.vertex_count)
             threshold = rng.choice([math.inf, 2.0, 5.0, 9.0])
 
-            expected = searcher.tightest(
-                keywords, place, query_map, looseness_threshold=threshold
+            expected = reference_tightest(
+                graph,
+                keywords,
+                place,
+                query_map,
+                looseness_threshold=threshold,
+                undirected=undirected,
             )
             got = csr_tightest(
                 csr,
@@ -131,11 +172,10 @@ class TestTightestAgreement:
         inverted = InvertedIndex.build(graph)
         csr = CSRAdjacency.from_graph(graph)
         scratch = BFSScratch(csr.vertex_count)
-        searcher = SemanticPlaceSearcher(graph)
         keywords = TERMS[:2]
         query_map = build_query_map(inverted, keywords)
         for place in range(graph.vertex_count):
-            expected = searcher.tightest(keywords, place, query_map)
+            expected = reference_tightest(graph, keywords, place, query_map)
             got = csr_tightest(csr, scratch, place, keywords, query_map)
             assert (got.status, got.looseness, got.keyword_vertices) == (
                 expected.status,
@@ -143,23 +183,41 @@ class TestTightestAgreement:
                 expected.keyword_vertices,
             ), place
 
-    def test_searcher_dispatches_to_kernel(self):
+    def test_searcher_dispatches_to_kernel(self, monkeypatch):
         rng = random.Random(5)
         graph = random_graph(rng)
         inverted = InvertedIndex.build(graph)
         runtime = TQSPRuntime(csr=CSRAdjacency.from_graph(graph))
-        fast = SemanticPlaceSearcher(graph, runtime=runtime)
-        slow = SemanticPlaceSearcher(graph)
+        given = SemanticPlaceSearcher(graph, runtime=runtime)
+        built = SemanticPlaceSearcher(graph)  # builds its own runtime
+        assert given.csr is runtime.csr
+        assert built.csr.vertex_count == graph.vertex_count
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return csr_tightest(*args, **kwargs)
+
+        monkeypatch.setattr(semantic_place, "csr_tightest", counted)
         keywords = TERMS[:2]
         query_map = build_query_map(inverted, keywords)
         for place in range(graph.vertex_count):
-            a = fast.tightest(keywords, place, query_map)
-            b = slow.tightest(keywords, place, query_map)
+            a = given.tightest(keywords, place, query_map)
+            b = built.tightest(keywords, place, query_map)
+            c = reference_tightest(graph, keywords, place, query_map)
             assert (a.status, a.looseness, a.keyword_vertices) == (
-                b.status,
-                b.looseness,
-                b.keyword_vertices,
+                c.status,
+                c.looseness,
+                c.keyword_vertices,
             )
+            assert (b.status, b.looseness, b.keyword_vertices) == (
+                c.status,
+                c.looseness,
+                c.keyword_vertices,
+            )
+        assert calls == [
+            place for place in range(graph.vertex_count) for _ in range(2)
+        ]
 
     def test_bad_vertex_raises(self):
         graph = random_graph(random.Random(1), vertex_count=5)
@@ -185,15 +243,20 @@ class TestCominimalCoversAgreement:
             inverted = InvertedIndex.build(graph)
             csr = CSRAdjacency.from_graph(graph)
             scratch = BFSScratch(csr.vertex_count)
-            searcher = SemanticPlaceSearcher(graph, undirected=undirected)
+            searcher = SemanticPlaceSearcher(
+                graph, undirected=undirected, runtime=TQSPRuntime(csr)
+            )
             keywords = rng.sample(TERMS, rng.randint(1, 3))
             query_map = build_query_map(inverted, keywords)
             place = rng.randrange(graph.vertex_count)
-            expected = searcher.cominimal_covers(keywords, place, query_map)
+            expected = reference_cominimal_covers(
+                graph, keywords, place, query_map, undirected=undirected
+            )
             got = csr_cominimal_covers(
                 csr, scratch, place, keywords, query_map, undirected=undirected
             )
             assert got == expected, trial
+            assert searcher.cominimal_covers(keywords, place, query_map) == expected
 
 
 class TestWordNeighborhoodAgreement:
@@ -232,3 +295,23 @@ class TestWordNeighborhoodAgreement:
         kernel = AlphaIndex(graph, rtree, alpha=2, csr=csr)
         assert kernel.section("place") == baseline.section("place")
         assert kernel.section("node") == baseline.section("node")
+
+
+class TestOracleSharesNoKernel:
+    def test_exhaustive_answers_example_1_with_the_kernel_broken(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle reached the CSR kernel")
+
+        monkeypatch.setattr(semantic_place, "csr_tightest", broken)
+        monkeypatch.setattr(semantic_place, "csr_cominimal_covers", broken)
+        graph = build_example_graph()
+        result = exhaustive_search(
+            graph,
+            InvertedIndex.build(graph),
+            KSPQuery(location=Q1, keywords=EXAMPLE_KEYWORDS, k=2),
+        )
+        assert [(p.root_label, p.looseness) for p in result] == [
+            ("p1", 6.0),
+            ("p2", 4.0),
+        ]
+        assert result.places[0].score == pytest.approx(6 * 0.2193, abs=1e-3)

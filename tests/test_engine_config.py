@@ -51,6 +51,9 @@ class TestLegacyKwargsRemoved:
     def test_constructor_rejects_historic_kwargs(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             KSPEngine(build_example_graph(), alpha=2)
+        # One TQSP kernel: the switch back to the generator traversal is gone.
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            EngineConfig(use_csr_kernel=False)
 
     def test_run_alias_is_gone(self):
         engine = KSPEngine(build_example_graph(), EngineConfig(alpha=2))
@@ -107,3 +110,31 @@ class TestQueryOptions:
             Q1, EXAMPLE_KEYWORDS, k=2, options=QueryOptions(k=1, method="sp")
         )
         assert len(result) == 2
+
+
+class TestOneTQSPKernel:
+    """Every constructor wires the CSR kernel: no engine runs without one."""
+
+    def test_in_memory_engine(self):
+        engine = KSPEngine(build_example_graph(), EngineConfig(alpha=3))
+        assert engine.csr is not None
+        assert engine._runtime.csr is engine.csr
+
+    def test_snapshot_engine(self, tmp_path):
+        path = tmp_path / "example.snap"
+        KSPEngine(build_example_graph(), EngineConfig(alpha=3)).save_snapshot(path)
+        engine = KSPEngine.from_snapshot(path)
+        assert engine.csr is not None
+        assert engine._runtime.csr is engine.csr
+        assert engine.storage_report()["csr_snapshot"] == engine.csr.size_bytes()
+
+    def test_every_in_process_shard_engine(self, tmp_path):
+        from repro.shard import ShardRouter, build_shards
+
+        config = EngineConfig(alpha=3)
+        build_shards(build_example_graph(), tmp_path, 2, config=config)
+        router = ShardRouter(tmp_path, config)
+        assert len(router.engines) == 2
+        for engine in router.engines:
+            assert engine.csr is not None
+            assert engine._runtime.csr is engine.csr

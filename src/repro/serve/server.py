@@ -1011,6 +1011,9 @@ def _make_handler(app: KSPServer):
     class Handler(BaseHTTPRequestHandler):
         server_version = "ksp-serve/1.0"
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted socket: no small write ever waits
+        # for the peer's delayed ACK (see _send).
+        disable_nagle_algorithm = True
 
         def log_message(self, format, *args):  # noqa: A002 - stdlib name
             pass  # request logging lives in the metrics, not stderr
@@ -1025,6 +1028,10 @@ def _make_handler(app: KSPServer):
             request_id: Optional[str] = None,
             headers: Optional[Dict[str, str]] = None,
         ) -> None:
+            """The one writer of every reply: status line, headers and
+            body leave in ONE ``wfile.write`` (one segment for small
+            replies), so a keep-alive client never waits on Nagle for a
+            body sent after the headers."""
             if isinstance(body, (dict, list)):
                 raw = json.dumps(body, sort_keys=True).encode("utf-8")
             else:
@@ -1036,10 +1043,62 @@ def _make_handler(app: KSPServer):
                 self.send_header("X-Request-Id", request_id)
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(raw)
+            # end_headers() would flush the block on its own; append its
+            # blank line and the body to the same buffer instead.
+            frame = getattr(self, "_headers_buffer", [])
+            if self.request_version != "HTTP/0.9":
+                frame.append(b"\r\n")
+            if self.command != "HEAD":
+                frame.append(raw)
+            self._headers_buffer = []
+            self.wfile.write(b"".join(frame))
+
+        def send_error(
+            self, code: int, message: Optional[str] = None, explain: Optional[str] = None
+        ) -> None:
+            """The stdlib's own refusals (bad request line 400, 414, 431)
+            as JSON through :meth:`_send`; they still close the
+            connection."""
+            # A request line that failed to parse leaves request_version
+            # at the HTTP/0.9 default, which would strip the status line.
+            self.request_version = self.protocol_version
+            if message is None:
+                message = self.responses.get(code, ("error", ""))[0]
+            self._send(code, error_body(message), headers={"Connection": "close"})
+
+        def __getattr__(self, name: str) -> Any:
+            # The stdlib dispatches ``do_<METHOD>``; every method other
+            # than GET and POST lands on the 405 reply, not a 501 page.
+            if name.startswith("do_"):
+                return self._method_not_allowed
+            raise AttributeError(name)
+
+        def _method_not_allowed(self) -> None:
+            request_id = self.headers.get("X-Request-Id") or _new_request_id()
+            self._close_if_body_unread()
+            self._send(
+                405,
+                error_body("method %s not allowed" % self.command, request_id),
+                request_id=request_id,
+                headers={"Allow": "GET, POST"},
+            )
+            app.metrics.count_request(urlparse(self.path).path, 405)
+
+        def _close_if_body_unread(self) -> None:
+            """Answering without reading a declared body: drop the
+            connection, so the body is never parsed as the next request."""
+            if (
+                self.headers.get("Content-Length", "0") != "0"
+                or "Transfer-Encoding" in self.headers
+            ):
+                self.close_connection = True
 
         def _read_json(self) -> Any:
+            if "Transfer-Encoding" in self.headers:
+                # Only Content-Length framing is read: answer, then drop
+                # the connection rather than parse chunks as a request.
+                self.close_connection = True
+                raise SchemaError("send the body with a Content-Length, not chunked")
             try:
                 length = int(self.headers.get("Content-Length", "0"))
             except ValueError:
@@ -1071,6 +1130,7 @@ def _make_handler(app: KSPServer):
             path = parsed.path
             params = parse_qs(parsed.query)
             status, body, content_type = app.handle_get(path, params)
+            self._close_if_body_unread()
             self._send(status, body, content_type)
             app.metrics.count_request(path, status)
 
@@ -1089,6 +1149,7 @@ def _make_handler(app: KSPServer):
             elif path == "/v1/sparql":
                 endpoint = app.handle_sparql
             else:
+                self._close_if_body_unread()
                 self._send(
                     404,
                     error_body("no such endpoint: %s" % path, request_id),
